@@ -50,12 +50,11 @@ def bench(repeats):
 
     for n, m in ((3, 3), (4, 8), (6, 16), (8, 32)):
         c, ws, r0 = _joint_inputs(rng, n, m)
-        args = {"numpy": (c, list(ws), r0), "numba": (c, ws, r0)}
         times = {name: _time(lambda name=name: impls[name]["assemble_joint"](
-            *args[name]), repeats) for name in names}
+            c, ws, r0), repeats) for name in names}
         rows.append((f"assemble_joint N={n} M={m}", times))
 
-        rho = np.ascontiguousarray(impls["numpy"]["assemble_joint"](*args["numpy"]))
+        rho = np.ascontiguousarray(impls["numpy"]["assemble_joint"](c, ws, r0))
         times = {name: _time(lambda name=name: impls[name]["partial_transpose"](
             rho, n, m, True), repeats) for name in names}
         rows.append((f"partial_transpose N={n} M={m}", times))

@@ -31,16 +31,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _assemble_joint_np(c, ws, r0):
-    """sigma[kM:(k+1)M, lM:(l+1)M] = c_k conj(c_l) w_k r0 w_l^dag."""
-    n = c.shape[0]
-    m = r0.shape[0]
-    sigma = np.empty((n * m, n * m), dtype=np.complex128)
-    wr = [ws[k] @ r0 for k in range(n)]
-    for k in range(n):
-        for l in range(n):
-            block = wr[k] @ ws[l].conj().T
-            sigma[k * m:(k + 1) * m, l * m:(l + 1) * m] = c[k] * np.conj(c[l]) * block
-    return sigma
+    """sigma[kM:(k+1)M, lM:(l+1)M] = c_k conj(c_l) w_k r0 w_l^dag.
+
+    With the (N, M, M) stack ``ws`` the rows of A = [c_0 w_0; ...; c_{N-1}
+    w_{N-1}] make up all levels at once, and sigma = A r0 A^dag is two
+    matrix products.
+    """
+    n, m = ws.shape[0], r0.shape[0]
+    a = (c[:, None, None] * ws).reshape(n * m, m)
+    return (a @ r0) @ a.conj().T
 
 
 def _partial_transpose_np(rho, dim_s, dim_e, transpose_env):
@@ -187,11 +186,10 @@ def assemble_joint(c, ws, r0):
     and the initial environment state."""
     c = np.asarray(c, dtype=np.complex128)
     r0 = np.asarray(r0, dtype=np.complex128)
+    ws = np.ascontiguousarray(ws, dtype=np.complex128)
     if BACKEND == "numba":
-        stacked = np.ascontiguousarray(
-            np.stack([np.asarray(w, dtype=np.complex128) for w in ws]))
-        return _assemble_joint_nb(c, stacked, np.ascontiguousarray(r0))
-    return _assemble_joint_np(c, [np.asarray(w, dtype=np.complex128) for w in ws], r0)
+        return _assemble_joint_nb(c, ws, np.ascontiguousarray(r0))
+    return _assemble_joint_np(c, ws, r0)
 
 
 def partial_transpose_dense(rho, dim_s, dim_e, transpose_env):

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import conditional_block, joint_state, pair_operator, propagators
-from .linalg import commutator_norm, frob, simultaneous_diagonalize
+from .evolution import conditional_block, pair_operator, propagators
+from .linalg import commutator_norm, simultaneous_diagonalize
 
 __all__ = [
     "DEFAULT_TOL_COMM",
@@ -97,29 +97,29 @@ class SeparableDecomposition:
 
 def qubit_like_norms(model, props):
     """Family-1 norms: (j, ||[R(0), w_0^dag w_j]||_F) for j = 1..N-1."""
-    w0 = props.w[0]
-    out = []
-    for j in range(1, model.n):
-        out.append((j, commutator_norm(model.r0, w0.conj().T @ props.w[j])))
-    return out
+    w = props.w
+    norms = commutator_norm(model.r0, w[0].conj().T @ w[1:])
+    return [(j, float(norm)) for j, norm in enumerate(norms, start=1)]
+
 
 def cross_commutation_norms(props):
     """Family-2 norms: (j, l, ||[W_j0, W_l0]||_F) for 0 < l < j."""
     n = len(props.w)
-    pair = [pair_operator(props, j, 0) for j in range(n)]
-    out = []
-    for j in range(2, n):
-        for l in range(1, j):
-            out.append((j, l, commutator_norm(pair[j], pair[l])))
-    return out
+    pairs = [(j, l) for j in range(2, n) for l in range(1, j)]
+    if not pairs:
+        return []
+    js, ls = map(list, zip(*pairs))
+    pair = props.w @ props.w[0].conj().T          # W_j0 for every j
+    norms = commutator_norm(pair[js], pair[ls])
+    return [(j, l, float(norm)) for (j, l), norm in zip(pairs, norms)]
 
 
 def decide_from_props(model, props, tol_comm=DEFAULT_TOL_COMM):
     """Render the verdict from already-built propagators."""
     family1 = tuple(qubit_like_norms(model, props))
     family2 = tuple(cross_commutation_norms(props))
-    th1 = tol_comm * max(1.0, frob(model.r0))
-    th2 = tol_comm
+    # both families share one threshold: a validated R(0) has ||R(0)||_F <= 1
+    th1 = th2 = tol_comm
 
     witnesses = []
     distances = []

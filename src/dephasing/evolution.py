@@ -5,7 +5,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .linalg import unitary_exp_hermitian
 
 __all__ = [
     "ConditionalPropagators",
@@ -20,10 +19,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConditionalPropagators:
-    """The environment unitaries conditioned on each system level."""
+    """The environment unitaries conditioned on each system level.
+
+    ``w`` is an (N, M, M) array; ``w[k]`` is w_k(t).
+    """
 
     t: float
-    w: tuple
+    w: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "w", np.asarray(self.w, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -41,13 +46,18 @@ class JointState:
 def propagators(model, t):
     """w_k(t) = exp(-i (H_E + V_k) t) for Hamiltonian-mode models.
 
+    Every level's w_k(t) = V_k diag(e^{-i lambda_k t}) V_k^dag comes from
+    one stacked product over the model's cached eigendecompositions.
+
     Propagator-mode models are snapshots at a single instant; their stored
     unitaries are returned for every t.
     """
     if model.mode == "propagator":
-        return ConditionalPropagators(t=float(t), w=tuple(model.w))
-    ws = tuple(unitary_exp_hermitian(model.h_env + vk, t) for vk in model.v)
-    return ConditionalPropagators(t=float(t), w=ws)
+        return ConditionalPropagators(t=float(t), w=np.stack(model.w))
+    vals, vecs = model.level_spectra
+    phased = vecs * np.exp(-1j * t * vals)[:, None, :]
+    return ConditionalPropagators(
+        t=float(t), w=phased @ vecs.conj().transpose(0, 2, 1))
 
 
 def pair_operator(props, i, j):

@@ -54,11 +54,14 @@ def frob(a):
     return float(np.linalg.norm(a))
 
 
-def _as_square(a, name="matrix"):
+def _as_square(a, name="matrix", stacked=False):
+    """Validate a square complex matrix, or with ``stacked`` a (..., M, M)
+    stack of them, in one pass."""
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if (a.ndim < 2 or (a.ndim != 2 and not stacked)
+            or a.shape[-1] != a.shape[-2]):
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise LinalgError(f"{name} contains non-finite entries")
     return a
 
@@ -109,16 +112,30 @@ def partial_transpose(rho, dim_s, dim_e, subsystem="environment"):
 
 
 def commutator(a, b):
-    a = _as_square(a, "A")
-    b = _as_square(b, "B")
-    if a.shape != b.shape:
+    """[A, B] = AB - BA.
+
+    A and B may be (..., M, M) stacks; their leading axes broadcast against
+    each other, so one call gives the commutators of many pairs.
+    """
+    a = _as_square(a, "A", stacked=True)
+    b = _as_square(b, "B", stacked=True)
+    if a.shape[-2:] != b.shape[-2:]:
         raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError as exc:
+        raise DimensionMismatchError(
+            f"stacks {a.shape} and {b.shape} do not broadcast") from exc
     return a @ b - b @ a
 
 
 def commutator_norm(a, b):
-    """Frobenius norm of [A, B]."""
-    return frob(commutator(a, b))
+    """Frobenius norm of [A, B]: a float for two matrices, an array over the
+    broadcast leading axes for (..., M, M) stacks."""
+    c = commutator(a, b)
+    if c.ndim == 2:
+        return frob(c)
+    return np.linalg.norm(c, axis=(-2, -1))
 
 
 def _hermitian_refiners(ops, tol):

@@ -10,6 +10,7 @@ snapshot at a single instant).  Files are plain JSON with complex scalars as
 import enum
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,22 @@ class DephasingModel:
     @property
     def mode(self):
         return "propagator" if self.w is not None else "hamiltonian"
+
+    @cached_property
+    def level_spectra(self):
+        """Eigendecompositions of H_E + V_k for every level, computed once.
+
+        Returns ``(vals, vecs)`` stacked to shapes (N, M) and (N, M, M), so
+        that propagators at any time cost one stacked product.  The model's
+        arrays are treated as immutable once this has been read.
+        """
+        if self.mode != "hamiltonian":
+            raise ValueError("propagator-mode models carry no Hamiltonians")
+        pairs = [hermitian_eig(self.h_env + vk) for vk in self.v]
+        vals = np.stack([vals for vals, _ in pairs])
+        vecs = np.stack([vecs for _, vecs in pairs])
+        vals.flags.writeable = vecs.flags.writeable = False  # shared by every caller
+        return vals, vecs
 
 
 def _check_matrix(errors, path, a, dim):

@@ -23,7 +23,7 @@ import numpy as np
 from . import backend
 from .criteria import qubit_like_norms
 from .evolution import conditional_block, joint_state, pair_operator
-from .linalg import frob, hermitian_eig, partial_transpose, simultaneous_diagonalize
+from .linalg import hermitian_eig, partial_transpose, simultaneous_diagonalize
 
 __all__ = [
     "PreconditionFailedError",
@@ -109,12 +109,11 @@ def negativity(state):
 
 def _require_family1(model, props, tol):
     norms = [norm for _, norm in qubit_like_norms(model, props)]
-    bound = tol * max(1.0, frob(model.r0))
     worst = max(norms, default=0.0)
-    if worst > bound:
+    if worst > tol:
         raise PreconditionFailedError(
             f"qubit-like norms must vanish for this minor class "
-            f"(max {worst:.3e} > {bound:.3e})")
+            f"(max {worst:.3e} > {tol:.3e})")
 
 
 def _x_basis(model, props, i, j, l, tol):
@@ -237,7 +236,11 @@ def minor_Y(model, props, i, j, n, tol=1e-9):
     """
     if i == j:
         raise ValueError("system indices must be distinct")
-    p, y, kept = _y_data(model, props, i, j)
+    return _minor_Y_from(model, i, j, n, *_y_data(model, props, i, j))
+
+
+def _minor_Y_from(model, i, j, n, p, y, kept):
+    """``minor_Y`` on the pair data (p, y, kept) returned by ``_y_data``."""
     positions = {state: pos for pos, state in enumerate(kept)}
     if n not in positions:
         raise PreconditionFailedError(
@@ -264,7 +267,11 @@ def minor_Ytilde(model, props, i, j, n, r, tol=1e-9):
     """
     if i == j:
         raise ValueError("system indices must be distinct")
-    p, y, kept = _y_data(model, props, i, j)
+    return _minor_Ytilde_from(model, i, j, n, r, *_y_data(model, props, i, j))
+
+
+def _minor_Ytilde_from(model, i, j, n, r, p, y, kept):
+    """``minor_Ytilde`` on the pair data (p, y, kept) returned by ``_y_data``."""
     positions = {state: pos for pos, state in enumerate(kept)}
     if n not in positions or r not in positions:
         raise PreconditionFailedError(
@@ -309,21 +316,23 @@ def minor_Ytilde(model, props, i, j, n, r, tol=1e-9):
 
 
 def _scan_pair_minors(model, props, i, j):
-    """All negative bordered minors (Y or Y-tilde as applicable) for (i, j)."""
-    p, y, kept = _y_data(model, props, i, j)
+    """All negative bordered minors (Y or Y-tilde as applicable) for (i, j),
+    evaluated from one eigendecomposition of R_ii(t)."""
+    data = _y_data(model, props, i, j)
+    p, _, kept = data
     zero_mask = p < ZERO_WEIGHT_CUT
     num_zero = int(zero_mask.sum())
     found = []
     if num_zero >= 2:
         for n_pos in np.flatnonzero(~zero_mask):
             for r_pos in np.flatnonzero(zero_mask):
-                ev = minor_Ytilde(model, props, i, j,
-                                  int(kept[n_pos]), int(kept[r_pos]))
+                ev = _minor_Ytilde_from(model, i, j, int(kept[n_pos]),
+                                        int(kept[r_pos]), *data)
                 if ev.closed_form < NEGATIVE_CUT:
                     found.append(ev)
     else:
         for n_pos in range(len(kept)):
-            ev = minor_Y(model, props, i, j, int(kept[n_pos]))
+            ev = _minor_Y_from(model, i, j, int(kept[n_pos]), *data)
             if ev.informative and ev.closed_form < NEGATIVE_CUT:
                 found.append(ev)
     return found

@@ -91,6 +91,19 @@ class TestCrossNorms:
             assert len(cross_commutation_norms(props)) == (n - 1) * (n - 2) // 2
             assert len(qubit_like_norms(m, props)) == n - 1
 
+    def test_stacked_norms_match_pair_by_pair(self):
+        m = generic_model(seed=3, n=5, m=4)
+        props = propagators(m, 0.9)
+        w = props.w
+        pair = [w[j] @ w[0].conj().T for j in range(5)]
+        cross = [(j, l, commutator_norm(pair[j], pair[l]))
+                 for j in range(2, 5) for l in range(1, j)]
+        qubit = [(j, commutator_norm(m.r0, w[0].conj().T @ w[j])) for j in range(1, 5)]
+        for got, want in ((cross_commutation_norms(props), cross),
+                          (qubit_like_norms(m, props), qubit)):
+            assert [rec[:-1] for rec in got] == [rec[:-1] for rec in want]
+            assert max(abs(a[-1] - b[-1]) for a, b in zip(got, want)) < 1e-13
+
 
 class TestDecide:
     def test_fixture_entangled_by_cross_condition_only(self):
@@ -108,6 +121,11 @@ class TestDecide:
         assert report.separable
         assert report.max_qubit_like < 1e-13
         assert report.max_cross < 1e-13
+
+    def test_both_families_use_the_tolerance_unscaled(self):
+        spec = EnsembleSpec(seed=3, count=1, n=3, m=4, family=Family.PURE)
+        report = decide(validate(random_instance(spec, 0)), 1.0, tol_comm=1e-7)
+        assert report.thresholds == (1e-7, 1e-7)
 
     def test_json_round_trip(self):
         report = decide(mixed_qutrit_example(), 1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dephasing import model as model_module
 from dephasing.evolution import (
     conditional_block,
     decoherence_factors,
@@ -8,7 +9,7 @@ from dephasing.evolution import (
     pair_operator,
     propagators,
 )
-from dephasing.linalg import frob
+from dephasing.linalg import frob, unitary_exp_hermitian
 from dephasing.model import (
     EnsembleSpec,
     Family,
@@ -58,6 +59,33 @@ class TestPropagators:
             props = propagators(m, t)
             for a, b in zip(props.w, m.w):
                 assert np.array_equal(a, b)
+
+    def test_stacked_array_of_levels(self, generic_model):
+        assert propagators(generic_model, 0.7).w.shape == (3, 3, 3)
+        assert propagators(mixed_qutrit_example(), 0.7).w.shape == (3, 2, 2)
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 5), (6, 16)])
+    def test_cached_spectra_match_per_level_exponential(self, n, m):
+        spec = EnsembleSpec(seed=23, count=1, n=n, m=m, family=Family.GENERIC)
+        model = validate(random_instance(spec, 0))
+        for t in (0.0, 0.4, 2.5, -1.3):
+            props = propagators(model, t)
+            for k, vk in enumerate(model.v):
+                ref = unitary_exp_hermitian(model.h_env + vk, t)
+                assert np.max(np.abs(props.w[k] - ref)) < 1e-13
+
+    def test_levels_decomposed_once_per_model(self, generic_model, monkeypatch):
+        calls = []
+        real = model_module.hermitian_eig
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "hermitian_eig", counted)
+        for t in np.linspace(0.0, 3.0, 7):
+            propagators(generic_model, t)
+        assert len(calls) == generic_model.n
 
 
 class TestPairOperator:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dephasing import witnesses
 from dephasing.criteria import decide_from_props
 from dephasing.evolution import joint_state, propagators
 from dephasing.model import (
@@ -264,6 +265,31 @@ class TestWitnessScan:
             assert scan.witnesses
             assert scan.witnesses[0].class_tag in ("Y", "Ytilde")
             assert scan.pt_min_eigenvalue < -1e-10
+
+    @pytest.mark.parametrize("family,seed", [(Family.GENERIC, 3), (Family.PURE, 31)])
+    def test_bordered_scan_matches_single_minors(self, family, seed, monkeypatch):
+        m = instance(family, seed=seed, n=3, m=4)
+        props = propagators(m, 1.0)
+        report = decide_from_props(m, props)
+        calls = []
+        real = witnesses.hermitian_eig
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(witnesses, "hermitian_eig", counted)
+        scan = witness_scan(m, props, report)
+        assert len(calls) == m.n * (m.n - 1)  # one per ordered pair
+        monkeypatch.undo()
+        assert scan.witnesses
+        for w in scan.witnesses:
+            if w.class_tag == "Y":
+                single = minor_Y(m, props, *w.indices)
+            else:
+                single = minor_Ytilde(m, props, *w.indices)
+            assert (single.closed_form, single.determinant) == \
+                (w.closed_form, w.determinant)
 
     def test_serialization(self):
         m, props = fixture_props()

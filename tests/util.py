@@ -116,3 +116,53 @@ def pauli_fixture_sigma_te():
         [0, -i, 0, -i, 1, 0],
         [i, 0, -i, 0, 0, 1],
     ], dtype=np.complex128) / 6
+
+
+def assemble_joint_loop(c, ws, r0):
+    """Slow reference joint state, block by block:
+    sigma[kM:(k+1)M, lM:(l+1)M] = c_k conj(c_l) w_k r0 w_l^dag."""
+    n = len(c)
+    m = r0.shape[0]
+    sigma = np.empty((n * m, n * m), dtype=np.complex128)
+    wr = [ws[k] @ r0 for k in range(n)]
+    for k in range(n):
+        for l in range(n):
+            block = wr[k] @ ws[l].conj().T
+            sigma[k * m:(k + 1) * m, l * m:(l + 1) * m] = c[k] * np.conj(c[l]) * block
+    return sigma
+
+
+def _comm_frob(a, b):
+    return float(np.linalg.norm(a @ b - b @ a))
+
+
+def sweep_reference(model, grid, tol_comm=1e-9):
+    """Per-step reference for ``dephasing sweep`` on a Hamiltonian-mode model.
+
+    Each step exponentiates every level on its own with ``scipy.linalg.expm``,
+    takes every commutator pair by pair, assembles the joint state block by
+    block and partially transposes it over the system by explicit indexing.
+    Returns rows (t, max qubit-like norm, max cross norm, min PT eigenvalue,
+    negativity, verdict), one per time.
+    """
+    n, m = model.n, model.m
+    rows = []
+    for t in grid:
+        ws = [scipy.linalg.expm(-1j * t * (model.h_env + vk)) for vk in model.v]
+        qubit_like = [_comm_frob(model.r0, ws[0].conj().T @ ws[j])
+                      for j in range(1, n)]
+        pair = [ws[j] @ ws[0].conj().T for j in range(n)]
+        cross = [_comm_frob(pair[j], pair[l])
+                 for j in range(2, n) for l in range(1, j)]
+        sigma = assemble_joint_loop(model.c, ws, model.r0)
+        pt = np.empty_like(sigma)
+        for s in range(n):
+            for s2 in range(n):
+                pt[s * m:(s + 1) * m, s2 * m:(s2 + 1) * m] = \
+                    sigma[s2 * m:(s2 + 1) * m, s * m:(s + 1) * m]
+        eigs = np.linalg.eigvalsh(pt)
+        worst = max(qubit_like + cross)
+        rows.append((float(t), max(qubit_like), max(cross, default=0.0),
+                     float(eigs[0]), float(-eigs[eigs < 0].sum()),
+                     "entangled" if worst > tol_comm else "separable"))
+    return rows
