@@ -1,7 +1,6 @@
 """Separability criteria and entanglement witnesses for pure-dephasing
 system-environment evolutions."""
 
-from .backend import BACKEND
 from .criteria import (
     CriterionReport,
     SeparableDecomposition,

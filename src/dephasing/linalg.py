@@ -8,8 +8,6 @@ environment label.
 
 import numpy as np
 
-from . import backend
-
 __all__ = [
     "LinalgError",
     "NotHermitianError",
@@ -107,8 +105,12 @@ def partial_transpose(rho, dim_s, dim_e, subsystem="environment"):
             f"rho has dim {rho.shape[0]}, expected {dim_s} * {dim_e}")
     if subsystem not in ("system", "environment"):
         raise ValueError(f"unknown subsystem {subsystem!r}")
-    return backend.partial_transpose_dense(
-        rho, dim_s, dim_e, subsystem == "environment")
+    arr = rho.reshape(dim_s, dim_e, dim_s, dim_e)
+    if subsystem == "environment":
+        arr = arr.transpose(0, 3, 2, 1)
+    else:
+        arr = arr.transpose(2, 1, 0, 3)
+    return arr.reshape(dim_s * dim_e, dim_s * dim_e)
 
 
 def commutator(a, b):

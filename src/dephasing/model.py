@@ -55,9 +55,6 @@ class DephasingModel:
     """A dephasing problem instance.
 
     Exactly one of (``h_env``, ``v``) or ``w`` is set, depending on ``mode``.
-    ``epsilon`` carries optional per-level system energies; they commute with
-    everything else and never change the separability verdict, so they are
-    default-absent and only used for display parity.
     """
 
     n: int
@@ -67,7 +64,6 @@ class DephasingModel:
     h_env: np.ndarray | None = None
     v: tuple | None = None
     w: tuple | None = None
-    epsilon: np.ndarray | None = None
 
     @property
     def mode(self):
@@ -157,9 +153,6 @@ def validate(model):
             if vals[0] < -POSITIVITY_TOL:
                 errors.append(("r0", f"min eigenvalue {vals[0]:.3e} < 0"))
 
-    if model.epsilon is not None and np.asarray(model.epsilon).shape != (model.n,):
-        errors.append(("epsilon", f"expected {model.n} energies"))
-
     if errors:
         raise ValidationError(errors)
     return model
@@ -195,8 +188,6 @@ def model_to_dict(model):
         doc["v"] = [_encode_matrix(vk) for vk in model.v]
     else:
         doc["w"] = [_encode_matrix(wk) for wk in model.w]
-    if model.epsilon is not None:
-        doc["epsilon"] = [float(e) for e in model.epsilon]
     return doc
 
 
@@ -232,8 +223,8 @@ def model_from_dict(doc):
             raise ValidationError([("w", "missing")])
         kwargs["w"] = tuple(_decode_matrix(wk, f"w[{k}]")
                             for k, wk in enumerate(doc["w"]))
-    if "epsilon" in doc:
-        kwargs["epsilon"] = np.asarray(doc["epsilon"], dtype=float)
+    # files from older versions may carry per-level system energies under
+    # "epsilon"; they never affect a verdict and are ignored
     return DephasingModel(**kwargs)
 
 

@@ -175,34 +175,32 @@ def minor_D(model, props, k, q, tol=1e-9):
     )
 
 
+def _kept_states(p, y):
+    """Environment states that survive elimination: those with nonzero weight
+    or coupled through ``y`` to some other state.
+
+    Only a state decoupled from every other state is dropped, so dropping it
+    changes no other state's test and one pass is exact.
+    """
+    a = np.abs(y)
+    coupling = np.maximum(a, a.T)
+    np.fill_diagonal(coupling, 0.0)
+    coupled = coupling.max(axis=1, initial=0.0) >= DECOUPLE_CUT
+    return np.flatnonzero((p >= ZERO_WEIGHT_CUT) | coupled)
+
+
 def _y_data(model, props, i, j):
     """Eigenbasis data for the bordered minor classes of the pair (i, j).
 
-    Returns (p, y, kept) after iteratively eliminating environment states
-    with zero weight that are fully decoupled from the pair operator; the
-    index arrays refer to the ascending eigenbasis of R_ii(t).
+    Returns (p, y, kept) after eliminating environment states with zero
+    weight that are fully decoupled from the pair operator; the index arrays
+    refer to the ascending eigenbasis of R_ii(t).
     """
     r_ii = conditional_block(model, props, i, i)
     vals, vecs = hermitian_eig(r_ii)
     p_full = np.clip(vals, 0.0, None)
     y_full = vecs.conj().T @ pair_operator(props, i, j) @ vecs
-
-    kept = list(range(model.m))
-    while True:
-        removed = False
-        for pos, state in enumerate(kept):
-            if p_full[state] >= ZERO_WEIGHT_CUT:
-                continue
-            others = [s for s in kept if s != state]
-            col = max((abs(y_full[o, state]) for o in others), default=0.0)
-            row = max((abs(y_full[state, o]) for o in others), default=0.0)
-            if max(col, row) < DECOUPLE_CUT:
-                kept.pop(pos)
-                removed = True
-                break
-        if not removed:
-            break
-    kept = np.asarray(kept, dtype=int)
+    kept = _kept_states(p_full, y_full)
     return p_full[kept], y_full[np.ix_(kept, kept)], kept
 
 
@@ -367,18 +365,17 @@ def witness_scan(model, props, report):
                     p, u, x, closed, dets = _x_grids(
                         model, props, i, j, l, report.tol_comm)
                     is_d = model.n == 3 and (i, j, l) == (0, 1, 2)
-                    for k in range(model.m):
-                        for q in range(model.m):
-                            if k == q or closed[k, q] >= NEGATIVE_CUT:
-                                continue
-                            found.append(MinorEvaluation(
-                                class_tag="D" if is_d else "X",
-                                indices=(k, q) if is_d else (i, j, l, k, q),
-                                closed_form=float(closed[k, q]),
-                                determinant=float(dets[k, q]),
-                                basis_note=f"common eigenbasis of R_00(t) "
-                                           f"and W_{j}{i}(t)",
-                            ))
+                    note = f"common eigenbasis of R_00(t) and W_{j}{i}(t)"
+                    # the grid's diagonal k == q is zero, so never selected
+                    for k, q in zip(*np.nonzero(closed < NEGATIVE_CUT)):
+                        k, q = int(k), int(q)
+                        found.append(MinorEvaluation(
+                            class_tag="D" if is_d else "X",
+                            indices=(k, q) if is_d else (i, j, l, k, q),
+                            closed_form=float(closed[k, q]),
+                            determinant=float(dets[k, q]),
+                            basis_note=note,
+                        ))
 
     found.sort(key=lambda ev: (ev.closed_form, ev.indices))
     return WitnessScan(pt_eigenvalues=eigs, witnesses=tuple(found))

@@ -117,6 +117,13 @@ class TestSerialization:
         assert doc["w"][2][0][1] == [0.0, 1.0]
         json.dumps(doc)  # must be plain JSON types
 
+    def test_old_epsilon_key_is_ignored(self):
+        doc = model_to_dict(make_qutrit_model())
+        doc["epsilon"] = [0.0, 1.0, 2.0]
+        loaded = validate(model_from_dict(doc))
+        assert "epsilon" not in model_to_dict(loaded)
+        assert model_to_dict(loaded) == model_to_dict(make_qutrit_model())
+
     def test_missing_keys_reported_with_paths(self):
         with pytest.raises(ValidationError) as exc:
             model_from_dict({"n": 2, "m": 2})

@@ -22,7 +22,7 @@ from dephasing.witnesses import (
     pt_spectrum,
     witness_scan,
 )
-from util import rand_unitary
+from util import kept_states_loop, rand_unitary
 
 FIXTURE_PT_EIGS = np.array([-1, -1, 2, 2, 2, 2]) / 6.0
 
@@ -149,6 +149,39 @@ class TestMinorX:
                         assert ev.closed_form <= 1e-9
                         assert abs(ev.closed_form - ev.determinant) \
                             <= 1e-8 * max(1, abs(ev.determinant))
+
+
+class TestStateElimination:
+    @staticmethod
+    def kept(p, y):
+        return list(witnesses._kept_states(p, y))
+
+    @staticmethod
+    def kept_ref(p, y):
+        return kept_states_loop(p, y, witnesses.ZERO_WEIGHT_CUT,
+                                witnesses.DECOUPLE_CUT)
+
+    def test_matches_iterative_elimination(self):
+        rng = np.random.default_rng(0)
+        levels = np.array([0.0, 1e-13, 1e-11, 0.3])
+        for _ in range(2000):
+            m = int(rng.integers(1, 7))
+            p = np.where(rng.random(m) < 0.6, 0.0, rng.random(m))
+            p[rng.random(m) < 0.2] = 1e-13
+            y = rng.choice(levels, size=(m, m), p=[0.6, 0.1, 0.1, 0.2])
+            y = y * np.exp(1j * rng.uniform(0, 2 * np.pi, (m, m)))
+            assert self.kept(p, y) == self.kept_ref(p, y), (p, y)
+
+    def test_zero_weight_pair_coupled_to_each_other_is_kept(self):
+        p = np.array([0.5, 0.0, 0.0, 0.5, 0.0])
+        y = np.diag(np.ones(5, dtype=complex))
+        y[1, 2] = 0.3
+        assert self.kept(p, y) == self.kept_ref(p, y) == [0, 1, 2, 3]
+
+    def test_one_sided_coupling_keeps_state(self):
+        p = np.array([0.0, 1.0])
+        y = np.array([[1.0, 0.0], [0.2, 1.0]], dtype=complex)
+        assert self.kept(p, y) == self.kept_ref(p, y) == [0, 1]
 
 
 class TestMinorY:

@@ -166,3 +166,47 @@ def sweep_reference(model, grid, tol_comm=1e-9):
                      float(eigs[0]), float(-eigs[eigs < 0].sum()),
                      "entangled" if worst > tol_comm else "separable"))
     return rows
+
+
+def minor_grid_loop(ci, cj, cl, p, u, x):
+    """Slow reference 3x3 minor grid, one environment pair (k, q) at a time:
+    the closed form and the cofactor expansion of the 3x3 determinant."""
+    m = p.shape[0]
+    closed = np.zeros((m, m))
+    dets = np.zeros((m, m))
+    cc = abs(ci * cj * cl) ** 2
+    for k in range(m):
+        for q in range(m):
+            if k == q:
+                continue
+            closed[k, q] = (-2.0 * cc * p[k] ** 3 * abs(x[k, q]) ** 2
+                            * (1.0 - (u[k] * np.conj(u[q])).real))
+            a00 = abs(ci) ** 2 * p[k]
+            a01 = cj * np.conj(ci) * p[k] * u[k]
+            a02 = cl * np.conj(ci) * p[k] * x[k, q]
+            a11 = abs(cj) ** 2 * p[k]
+            a12 = cl * np.conj(cj) * p[k] * np.conj(u[q]) * x[k, q]
+            a22 = abs(cl) ** 2 * p[q]
+            det = (a00 * (a11 * a22 - a12 * np.conj(a12))
+                   - a01 * (np.conj(a01) * a22 - a12 * np.conj(a02))
+                   + a02 * (np.conj(a01) * np.conj(a12) - a11 * np.conj(a02)))
+            dets[k, q] = det.real
+    return closed, dets
+
+
+def kept_states_loop(p, y, zero_weight_cut, decouple_cut):
+    """Reference state elimination for the bordered minors: repeatedly drop
+    one zero-weight state decoupled from every state still kept."""
+    kept = list(range(len(p)))
+    while True:
+        for pos, state in enumerate(kept):
+            if p[state] >= zero_weight_cut:
+                continue
+            others = [s for s in kept if s != state]
+            col = max((abs(y[o, state]) for o in others), default=0.0)
+            row = max((abs(y[state, o]) for o in others), default=0.0)
+            if max(col, row) < decouple_cut:
+                kept.pop(pos)
+                break
+        else:
+            return kept
