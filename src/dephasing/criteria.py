@@ -14,6 +14,7 @@ import numpy as np
 
 from .evolution import conditional_block, pair_operator, propagators
 from .linalg import commutator_norm, simultaneous_diagonalize
+from .tolerances import DEFAULT_TOL_COMM
 
 __all__ = [
     "DEFAULT_TOL_COMM",
@@ -26,8 +27,6 @@ __all__ = [
     "decide_from_props",
     "build_decomposition",
 ]
-
-DEFAULT_TOL_COMM = 1e-9
 
 
 class NotSeparableError(Exception):
@@ -42,8 +41,7 @@ class CriterionReport:
     verdict: str             # "separable" | "entangled"
     margin: float            # smallest |norm - threshold| over all records
     witnesses: tuple         # identifiers of failed conditions
-    tol_comm: float
-    thresholds: tuple        # (family-1 threshold, family-2 threshold)
+    tol_comm: float          # threshold of both families
 
     @property
     def separable(self):
@@ -118,18 +116,17 @@ def decide_from_props(model, props, tol_comm=DEFAULT_TOL_COMM):
     """Render the verdict from already-built propagators."""
     family1 = tuple(qubit_like_norms(model, props))
     family2 = tuple(cross_commutation_norms(props))
-    # both families share one threshold: a validated R(0) has ||R(0)||_F <= 1
-    th1 = th2 = tol_comm
 
+    # both families share one threshold: a validated R(0) has ||R(0)||_F <= 1
     witnesses = []
     distances = []
     for j, norm in family1:
-        distances.append(abs(norm - th1))
-        if norm > th1:
+        distances.append(abs(norm - tol_comm))
+        if norm > tol_comm:
             witnesses.append(f"qubit_like[{j}]")
     for j, l, norm in family2:
-        distances.append(abs(norm - th2))
-        if norm > th2:
+        distances.append(abs(norm - tol_comm))
+        if norm > tol_comm:
             witnesses.append(f"cross[{j},{l}]")
 
     return CriterionReport(
@@ -140,7 +137,6 @@ def decide_from_props(model, props, tol_comm=DEFAULT_TOL_COMM):
         margin=min(distances) if distances else float("inf"),
         witnesses=tuple(witnesses),
         tol_comm=tol_comm,
-        thresholds=(th1, th2),
     )
 
 

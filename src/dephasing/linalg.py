@@ -8,6 +8,8 @@ environment label.
 
 import numpy as np
 
+from .tolerances import DEFAULT_TOL_COMM, DEGENERACY_RTOL, INPUT_TOL
+
 __all__ = [
     "LinalgError",
     "NotHermitianError",
@@ -22,9 +24,6 @@ __all__ = [
     "commutator_norm",
     "simultaneous_diagonalize",
 ]
-
-#: relative eigenvalue-clustering threshold for degenerate subspaces
-DEGENERACY_RTOL = 1e-9
 
 
 class LinalgError(Exception):
@@ -64,21 +63,22 @@ def _as_square(a, name="matrix", stacked=False):
     return a
 
 
-def _require_hermitian(a, tol, name="matrix"):
+def _require_hermitian(a):
+    """Raise NotHermitianError unless ||A - A^dag||_F <= INPUT_TOL *
+    max(1, ||A||_F)."""
     dev = frob(a - a.conj().T)
-    if dev > tol * max(1.0, frob(a)):
-        raise NotHermitianError(
-            f"{name} is not Hermitian: ||A - A^dag||_F = {dev:.3e}")
+    if dev > INPUT_TOL * max(1.0, frob(a)):
+        raise NotHermitianError(f"not Hermitian: ||A - A^dag||_F = {dev:.3e}")
 
 
-def hermitian_eig(a, tol=1e-10):
+def hermitian_eig(a):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as the columns of a unitary matrix.
     """
     a = _as_square(a)
-    _require_hermitian(a, tol)
+    _require_hermitian(a)
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -86,9 +86,9 @@ def hermitian_eig(a, tol=1e-10):
     return vals, vecs
 
 
-def unitary_exp_hermitian(h, theta, tol=1e-10):
+def unitary_exp_hermitian(h, theta):
     """exp(-i * theta * H) for Hermitian H, via exact eigendecomposition."""
-    vals, vecs = hermitian_eig(h, tol=tol)
+    vals, vecs = hermitian_eig(h)
     phases = np.exp(-1j * theta * vals)
     return (vecs * phases) @ vecs.conj().T
 
@@ -182,7 +182,7 @@ def _offdiag_residual(basis, ops):
     return res
 
 
-def simultaneous_diagonalize(ops, tol=1e-9):
+def simultaneous_diagonalize(ops, tol=DEFAULT_TOL_COMM):
     """Common eigenbasis of a family of commuting normal operators.
 
     The first operator is diagonalized outright; degenerate eigenspaces are

@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import frob, hermitian_eig
+from .linalg import NotHermitianError, _require_hermitian, frob, hermitian_eig
+from .tolerances import INPUT_TOL
 
 __all__ = [
     "ValidationError",
@@ -29,11 +30,6 @@ __all__ = [
     "model_from_dict",
     "mixed_qutrit_example",
 ]
-
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-POSITIVITY_TOL = 1e-10
-UNITARITY_TOL = 1e-10
 
 
 class ValidationError(Exception):
@@ -100,9 +96,10 @@ def _check_matrix(errors, path, a, dim):
 
 
 def _check_hermitian(errors, path, a):
-    dev = frob(a - a.conj().T)
-    if dev > HERMITICITY_TOL * max(1.0, frob(a)):
-        errors.append((path, f"not Hermitian: ||A - A^dag||_F = {dev:.3e}"))
+    try:
+        _require_hermitian(a)
+    except NotHermitianError as exc:
+        errors.append((path, str(exc)))
         return False
     return True
 
@@ -121,7 +118,7 @@ def validate(model):
         errors.append(("c", f"expected {model.n} amplitudes, got shape {c.shape}"))
     else:
         s = float(np.sum(np.abs(c) ** 2))
-        if abs(s - 1.0) > 1e-10:
+        if abs(s - 1.0) > INPUT_TOL:
             errors.append(("c", f"sum |c_k|^2 = {s!r}, expected 1"))
 
     if model.mode == "hamiltonian":
@@ -140,17 +137,17 @@ def validate(model):
             for k, wk in enumerate(model.w):
                 if _check_matrix(errors, f"w[{k}]", wk, model.m):
                     dev = frob(wk @ wk.conj().T - np.eye(model.m))
-                    if dev > UNITARITY_TOL * model.m:
+                    if dev > INPUT_TOL * model.m:
                         errors.append(
                             (f"w[{k}]", f"not unitary: ||w w^dag - 1||_F = {dev:.3e}"))
 
     if _check_matrix(errors, "r0", model.r0, model.m):
         if _check_hermitian(errors, "r0", model.r0):
             tr = complex(np.trace(model.r0))
-            if abs(tr - 1.0) > TRACE_TOL:
+            if abs(tr - 1.0) > INPUT_TOL:
                 errors.append(("r0", f"trace = {tr!r}, expected 1"))
             vals, _ = hermitian_eig(model.r0)
-            if vals[0] < -POSITIVITY_TOL:
+            if vals[0] < -INPUT_TOL:
                 errors.append(("r0", f"min eigenvalue {vals[0]:.3e} < 0"))
 
     if errors:
@@ -191,11 +188,21 @@ def model_to_dict(model):
     return doc
 
 
+def _decode_matrices(items, path):
+    if not isinstance(items, list):
+        raise ValidationError([(path, "expected a list of matrices")])
+    return tuple(_decode_matrix(a, f"{path}[{k}]") for k, a in enumerate(items))
+
+
 def model_from_dict(doc):
-    errors = []
-    for key in ("n", "m", "c", "r0"):
-        if key not in doc:
-            errors.append((key, "missing"))
+    if not isinstance(doc, dict):
+        raise ValidationError([("$", "the document must be a JSON object")])
+    errors = [(key, "missing") for key in ("n", "m", "c", "r0") if key not in doc]
+    for key in ("n", "m"):
+        # bool is a subclass of int, but JSON true/false is no dimension
+        if key in doc and (isinstance(doc[key], bool)
+                           or not isinstance(doc[key], int)):
+            errors.append((key, f"expected an integer, got {json.dumps(doc[key])}"))
     if errors:
         raise ValidationError(errors)
     mode = doc.get("mode", "hamiltonian")
@@ -206,8 +213,8 @@ def model_from_dict(doc):
     except (TypeError, ValueError) as exc:
         raise ValidationError([("c", f"malformed amplitudes: {exc}")]) from exc
     kwargs = dict(
-        n=int(doc["n"]),
-        m=int(doc["m"]),
+        n=doc["n"],
+        m=doc["m"],
         c=c,
         r0=_decode_matrix(doc["r0"], "r0"),
     )
@@ -216,13 +223,11 @@ def model_from_dict(doc):
             raise ValidationError(
                 [(k, "missing") for k in ("h_env", "v") if k not in doc])
         kwargs["h_env"] = _decode_matrix(doc["h_env"], "h_env")
-        kwargs["v"] = tuple(_decode_matrix(vk, f"v[{k}]")
-                            for k, vk in enumerate(doc["v"]))
+        kwargs["v"] = _decode_matrices(doc["v"], "v")
     else:
         if "w" not in doc:
             raise ValidationError([("w", "missing")])
-        kwargs["w"] = tuple(_decode_matrix(wk, f"w[{k}]")
-                            for k, wk in enumerate(doc["w"]))
+        kwargs["w"] = _decode_matrices(doc["w"], "w")
     # files from older versions may carry per-level system energies under
     # "epsilon"; they never affect a verdict and are ignored
     return DephasingModel(**kwargs)

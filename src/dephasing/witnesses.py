@@ -24,6 +24,13 @@ from . import backend
 from .criteria import qubit_like_norms
 from .evolution import conditional_block, joint_state, pair_operator
 from .linalg import hermitian_eig, partial_transpose, simultaneous_diagonalize
+from .tolerances import (
+    DECOUPLE_CUT,
+    DEFAULT_TOL_COMM,
+    NEGATIVE_CUT,
+    PRECONDITION_TOL,
+    ZERO_WEIGHT_CUT,
+)
 
 __all__ = [
     "PreconditionFailedError",
@@ -38,14 +45,6 @@ __all__ = [
     "witness_scan",
 ]
 
-#: weights below this count as zero for the case split
-ZERO_WEIGHT_CUT = 1e-12
-
-#: matrix elements below this count as decoupled for state elimination
-DECOUPLE_CUT = 1e-10
-
-NEGATIVE_CUT = -1e-12
-
 
 class PreconditionFailedError(Exception):
     pass
@@ -57,7 +56,6 @@ class MinorEvaluation:
     indices: tuple
     closed_form: float
     determinant: float
-    basis_note: str
     informative: bool = True
 
     def to_dict(self):
@@ -116,39 +114,41 @@ def _require_family1(model, props, tol):
             f"(max {worst:.3e} > {tol:.3e})")
 
 
-def _x_basis(model, props, i, j, l, tol):
-    """Common eigenbasis data (p, u, x) for the 3x3 minor classes.
-
-    p: weights of R_00(t); u: unimodular diagonal of W_ji; x: matrix of
-    W_li in the same basis.
+def _x_basis(model, props, i, j, tol):
+    """Common eigenbasis data (basis, p, u) of the ordered pair (i, j) for
+    the 3x3 minor classes: p are the weights of R_00(t), u the unimodular
+    diagonal of W_ji.  Shared by every third level l.
     """
     r00 = conditional_block(model, props, 0, 0)
     w_ji = pair_operator(props, j, i)
     basis, diagonals = simultaneous_diagonalize([r00, w_ji], tol=tol)
     p = np.clip(diagonals[0].real, 0.0, None)
     u = diagonals[1] / np.abs(diagonals[1])
+    return basis, p, u
+
+
+def _x_grids(model, props, i, j, l, basis, p, u):
+    """x, the matrix of W_li in the pair's basis, and the closed-form and
+    determinant grids of the triple (i, j, l) over environment pairs."""
     x = basis.conj().T @ pair_operator(props, l, i) @ basis
-    return p, u, x
-
-
-def _x_grids(model, props, i, j, l, tol):
-    p, u, x = _x_basis(model, props, i, j, l, tol)
     ci, cj, cl = model.c[i], model.c[j], model.c[l]
     closed, dets = backend.minor_grid_3x3(ci, cj, cl, p, u, x)
-    return p, u, x, closed, dets
+    return x, closed, dets
 
 
-def minor_X(model, props, i, j, l, k, q, tol=1e-9):
+def minor_X(model, props, i, j, l, k, q, tol=DEFAULT_TOL_COMM):
     """3x3 principal minor for system triple (i, j, l), environment pair (k, q).
 
-    Only meaningful when the qubit-like conditions hold; never positive, and
+    k and q label the common eigenbasis of R_00(t) and W_ji(t).  Only
+    meaningful when the qubit-like conditions hold; never positive, and
     strictly negative exactly when the cross conditions fail at (k, q).
     """
     if len({i, j, l}) != 3:
         raise ValueError("system indices must be distinct")
     _require_family1(model, props, tol)
-    p, u, x, closed, dets = _x_grids(model, props, i, j, l, tol)
-    if abs(x[k, q]) > 1e-6 and abs(p[k] - p[q]) > 1e-6:
+    basis, p, u = _x_basis(model, props, i, j, tol)
+    x, closed, dets = _x_grids(model, props, i, j, l, basis, p, u)
+    if abs(x[k, q]) > PRECONDITION_TOL and abs(p[k] - p[q]) > PRECONDITION_TOL:
         raise PreconditionFailedError(
             f"weights p_{k} and p_{q} differ despite coupling x_{k}{q} != 0; "
             "qubit-like conditions do not actually hold at this tolerance")
@@ -157,11 +157,10 @@ def minor_X(model, props, i, j, l, k, q, tol=1e-9):
         indices=(i, j, l, k, q),
         closed_form=float(closed[k, q]),
         determinant=float(dets[k, q]),
-        basis_note=f"common eigenbasis of R_00(t) and W_{j}{i}(t)",
     )
 
 
-def minor_D(model, props, k, q, tol=1e-9):
+def minor_D(model, props, k, q, tol=DEFAULT_TOL_COMM):
     """The qutrit two-index minor: the X class at system triple (0, 1, 2)."""
     if model.n != 3:
         raise ValueError(f"D-class minors require a qutrit, got N = {model.n}")
@@ -171,7 +170,6 @@ def minor_D(model, props, k, q, tol=1e-9):
         indices=(k, q),
         closed_form=ev.closed_form,
         determinant=ev.determinant,
-        basis_note=ev.basis_note,
     )
 
 
@@ -224,7 +222,7 @@ def _y_closed_and_det(ci, cj, p, y, n_pos):
     return float(closed), float(det)
 
 
-def minor_Y(model, props, i, j, n, tol=1e-9):
+def minor_Y(model, props, i, j, n):
     """Bordered principal minor for the pair (i, j), environment state n.
 
     Indices refer to the ascending eigenbasis of R_ii(t) after eliminating
@@ -250,18 +248,16 @@ def _minor_Y_from(model, i, j, n, p, y, kept):
         indices=(i, j, n),
         closed_form=closed,
         determinant=det,
-        basis_note=f"ascending eigenbasis of R_{i}{i}(t), "
-                   f"{len(kept)} of {model.m} states kept",
         informative=num_zero < 2,
     )
 
 
-def minor_Ytilde(model, props, i, j, n, r, tol=1e-9):
+def minor_Ytilde(model, props, i, j, n, r):
     """Replacement minor class when two or more weights of R_ii(t) vanish.
 
     ``r`` must label a zero-weight state that remains coupled, ``n`` a
-    nonzero-weight state; the minor is negative iff the pair operator couples
-    them.
+    nonzero-weight state, both in the basis of ``minor_Y``; the minor is
+    negative iff the pair operator couples them.
     """
     if i == j:
         raise ValueError("system indices must be distinct")
@@ -308,8 +304,6 @@ def _minor_Ytilde_from(model, i, j, n, r, p, y, kept):
         indices=(i, j, n, r),
         closed_form=float(closed),
         determinant=det,
-        basis_note=f"ascending eigenbasis of R_{i}{i}(t), "
-                   f"{mdim} of {model.m} states kept",
     )
 
 
@@ -359,13 +353,15 @@ def witness_scan(model, props, report):
     elif family2_failed:
         for i in range(model.n):
             for j in range(model.n):
+                if i == j:
+                    continue
+                basis, p, u = _x_basis(model, props, i, j, report.tol_comm)
                 for l in range(model.n):
-                    if len({i, j, l}) != 3:
+                    if l in (i, j):
                         continue
-                    p, u, x, closed, dets = _x_grids(
-                        model, props, i, j, l, report.tol_comm)
+                    _, closed, dets = _x_grids(model, props, i, j, l,
+                                               basis, p, u)
                     is_d = model.n == 3 and (i, j, l) == (0, 1, 2)
-                    note = f"common eigenbasis of R_00(t) and W_{j}{i}(t)"
                     # the grid's diagonal k == q is zero, so never selected
                     for k, q in zip(*np.nonzero(closed < NEGATIVE_CUT)):
                         k, q = int(k), int(q)
@@ -374,7 +370,6 @@ def witness_scan(model, props, report):
                             indices=(k, q) if is_d else (i, j, l, k, q),
                             closed_form=float(closed[k, q]),
                             determinant=float(dets[k, q]),
-                            basis_note=note,
                         ))
 
     found.sort(key=lambda ev: (ev.closed_form, ev.indices))

@@ -10,6 +10,7 @@ from dephasing.model import (
     EnsembleSpec,
     Family,
     mixed_qutrit_example,
+    model_to_dict,
     random_instance,
     save_model,
     validate,
@@ -79,6 +80,25 @@ class TestCheck:
         assert main(["check", "--model", str(path)]) == 1
         doc = json.loads(capsys.readouterr().err)
         assert any(e["path"] == "r0" for e in doc["errors"])
+
+    @pytest.mark.parametrize("override,path", [
+        (5, "$"),
+        ({"n": None}, "n"),
+        ({"m": [2]}, "m"),
+        ({"n": 2.7}, "n"),
+        ({"n": True}, "n"),
+        ({"v": 5}, "v"),
+    ], ids=["not-an-object", "n-null", "m-list", "n-float", "n-bool", "v-scalar"])
+    def test_malformed_model_reports_path(self, tmp_path, capsys, override, path):
+        spec = EnsembleSpec(seed=1, count=1, n=3, m=2, family=Family.GENERIC)
+        doc = model_to_dict(random_instance(spec, 0))
+        doc = {**doc, **override} if isinstance(override, dict) else override
+        model_path = tmp_path / "malformed.json"
+        model_path.write_text(json.dumps(doc))
+        assert main(["check", "--model", str(model_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [e["path"] for e in json.loads(err)["errors"]] == [path]
 
 
 class TestSweep:

@@ -124,8 +124,18 @@ class TestDecide:
 
     def test_both_families_use_the_tolerance_unscaled(self):
         spec = EnsembleSpec(seed=3, count=1, n=3, m=4, family=Family.PURE)
-        report = decide(validate(random_instance(spec, 0)), 1.0, tol_comm=1e-7)
-        assert report.thresholds == (1e-7, 1e-7)
+        model = validate(random_instance(spec, 0))
+        base = decide(model, 1.0)
+        norms = [norm for *_, norm in base.qubit_like + base.cross]
+        # the median norm sits exactly on the threshold and must not fail
+        for tol in (1e-7, sorted(norms)[len(norms) // 2]):
+            report = decide(model, 1.0, tol_comm=tol)
+            failed = ([f"qubit_like[{j}]" for j, norm in report.qubit_like
+                       if norm > tol]
+                      + [f"cross[{j},{l}]" for j, l, norm in report.cross
+                         if norm > tol])
+            assert report.witnesses == tuple(failed)
+            assert report.margin == min(abs(norm - tol) for norm in norms)
 
     def test_json_round_trip(self):
         report = decide(mixed_qutrit_example(), 1.0)

@@ -324,6 +324,29 @@ class TestWitnessScan:
             assert (single.closed_form, single.determinant) == \
                 (w.closed_form, w.determinant)
 
+    def test_x_scan_diagonalizes_once_per_pair(self, monkeypatch):
+        m = instance(Family.MIXED, seed=5, n=4, m=4)
+        props = propagators(m, 1.0)
+        report = decide_from_props(m, props)
+        assert report.max_qubit_like <= report.tol_comm < report.max_cross
+        calls = []
+        real = witnesses.simultaneous_diagonalize
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(witnesses, "simultaneous_diagonalize", counted)
+        scan = witness_scan(m, props, report)
+        assert len(calls) == m.n * (m.n - 1)  # one per ordered pair (i, j)
+        monkeypatch.undo()
+        assert scan.witnesses
+        for w in scan.witnesses:
+            assert w.class_tag == "X"
+            single = minor_X(m, props, *w.indices)
+            assert (single.closed_form, single.determinant) == \
+                (w.closed_form, w.determinant)
+
     def test_serialization(self):
         m, props = fixture_props()
         scan = witness_scan(m, props, decide_from_props(m, props))
