@@ -7,23 +7,28 @@ broadcast over the environment pair (k, q).  Eigendecompositions stay in
 
 import numpy as np
 
+from .linalg import _check_out
+
 __all__ = ["assemble_joint", "minor_grid_3x3"]
 
 
-def assemble_joint(c, ws, r0):
+def assemble_joint(c, ws, r0, out=None):
     """Joint density matrix from amplitudes, propagators and R(0):
     sigma[kM:(k+1)M, lM:(l+1)M] = c_k conj(c_l) w_k r0 w_l^dag.
 
     With the (N, M, M) stack ``ws`` the rows of A = [c_0 w_0; ...; c_{N-1}
     w_{N-1}] make up all levels at once, and sigma = A r0 A^dag is two
-    matrix products.
+    matrix products.  With ``out`` (a C-contiguous complex128 (NM, NM)
+    array) the second product is written there and ``out`` is returned.
     """
     c = np.asarray(c, dtype=np.complex128)
     r0 = np.asarray(r0, dtype=np.complex128)
     ws = np.asarray(ws, dtype=np.complex128)
     n, m = ws.shape[0], r0.shape[0]
     a = (c[:, None, None] * ws).reshape(n * m, m)
-    return (a @ r0) @ a.conj().T
+    if out is not None:
+        _check_out(out, (n * m, n * m))
+    return np.matmul(a @ r0, a.conj().T, out=out)
 
 
 def minor_grid_3x3(ci, cj, cl, p, u, x):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .criteria import DEFAULT_TOL_COMM, decide_from_props
 from .evolution import joint_state, propagators
+from .linalg import LinalgError
 from .model import (
     EnsembleSpec,
     Family,
@@ -40,10 +41,18 @@ def _sig6(x):
     return f"{x:.6g}"
 
 
-def _evaluate(model, t, tol_comm):
+def _buffers(n, m):
+    """The two (NM, NM) arrays that sigma and its partial transpose are
+    written into; a loop over times or same-sized models allocates them once."""
+    return tuple(np.empty((n * m, n * m), np.complex128) for _ in range(2))
+
+
+def _evaluate(model, t, tol_comm, buffers):
+    sigma_out, pt_out = buffers
     props = propagators(model, t)
     report = decide_from_props(model, props, tol_comm=tol_comm)
-    eigs = pt_spectrum(joint_state(model, props), "system")
+    eigs = pt_spectrum(joint_state(model, props, out=sigma_out), "system",
+                       out=pt_out)
     neg = float(-eigs[eigs < 0].sum())
     return report, eigs, neg
 
@@ -73,7 +82,8 @@ def _print_report(report, eigs, neg, fmt):
 
 def cmd_check(args):
     model = validate(load_model(args.model))
-    report, eigs, neg = _evaluate(model, args.t, args.tol_comm)
+    report, eigs, neg = _evaluate(model, args.t, args.tol_comm,
+                                  _buffers(model.n, model.m))
     _print_report(report, eigs, neg, args.format)
     return EXIT_SEPARABLE if report.separable else EXIT_ENTANGLED
 
@@ -85,17 +95,17 @@ def cmd_sweep(args):
         raise ValueError("t-start must be < t-end")
     model = validate(load_model(args.model))
     grid = np.linspace(args.t_start, args.t_end, args.steps)
-    rows = []
-    for t in grid:
-        report, eigs, neg = _evaluate(model, float(t), args.tol_comm)
-        rows.append([
-            f"{t:.17g}",
-            f"{report.max_qubit_like:.17g}",
-            f"{report.max_cross:.17g}",
-            f"{eigs[0]:.17g}",
-            f"{neg:.17g}",
-            report.verdict,
-        ])
+    buffers = _buffers(model.n, model.m)
+    numbers = np.empty((args.steps, len(CSV_HEADER) - 1))
+    numbers[:, 0] = grid
+    verdicts = []
+    for step, t in enumerate(grid.tolist()):
+        report, eigs, neg = _evaluate(model, t, args.tol_comm, buffers)
+        numbers[step, 1:] = (report.max_qubit_like, report.max_cross,
+                             eigs[0], neg)
+        verdicts.append(report.verdict)
+    rows = [[f"{x:.17g}" for x in row] + [verdict]
+            for row, verdict in zip(numbers.tolist(), verdicts)]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
@@ -122,7 +132,8 @@ def _format_matrix(a):
 
 def cmd_example(args):
     model = validate(mixed_qutrit_example())
-    report, eigs, neg = _evaluate(model, 1.0, args.tol_comm)
+    report, eigs, neg = _evaluate(model, 1.0, args.tol_comm,
+                                  _buffers(model.n, model.m))
     state = joint_state(model, propagators(model, 1.0))
     n, m = state.dims
     from .linalg import partial_transpose
@@ -157,11 +168,12 @@ def cmd_random(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
+    buffers = _buffers(spec.n, spec.m)
     for index in range(spec.count):
         model = validate(random_instance(spec, index))
         path = out_dir / f"model_{index:04d}.json"
         save_model(model, path)
-        report, eigs, neg = _evaluate(model, args.t, args.tol_comm)
+        report, eigs, neg = _evaluate(model, args.t, args.tol_comm, buffers)
         rows.append([
             str(index),
             path.name,
@@ -231,7 +243,7 @@ def main(argv=None):
     except ValidationError as exc:
         print(exc.to_json(), file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, LinalgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

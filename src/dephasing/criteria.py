@@ -93,48 +93,76 @@ class SeparableDecomposition:
         return sigma
 
 
+def _relative_propagators(props):
+    """U_j = w_0^dag w_j for j = 1..N-1, as an (N-1, M, M) stack.
+
+    Both families are commutators of these: the qubit-like ones with R(0),
+    the cross ones among themselves, since W_j0 = w_0 U_j w_0^dag and the
+    Frobenius norm is unitarily invariant, so ||[W_j0, W_l0]|| =
+    ||[U_j, U_l]||.
+    """
+    w = props.w
+    return w[0].conj().T @ w[1:]
+
+
+def _cross_pairs(n):
+    """The cross conditions (j, l), 0 < l < j < n, in report order."""
+    return [(j, l) for j in range(2, n) for l in range(1, j)]
+
+
+def _cross_norms(u, pairs):
+    """||[U_j, U_l]||_F for every (j, l) in ``pairs``.
+
+    Every product U_j U_l comes from one ((N-1)M x M) (M x (N-1)M) product
+    of the stack's rows and columns; ``prod[j-1, :, l-1, :]`` is U_j U_l.
+    """
+    k, m = u.shape[0], u.shape[-1]
+    if not pairs:
+        return np.zeros(0)
+    prod = (u.reshape(k * m, m) @ u.transpose(1, 0, 2).reshape(m, k * m))
+    prod = prod.reshape(k, m, k, m)
+    js, ls = np.array(pairs).T - 1
+    return np.linalg.norm(prod[js, :, ls] - prod[ls, :, js], axis=(-2, -1))
+
+
 def qubit_like_norms(model, props):
     """Family-1 norms: (j, ||[R(0), w_0^dag w_j]||_F) for j = 1..N-1."""
-    w = props.w
-    norms = commutator_norm(model.r0, w[0].conj().T @ w[1:])
-    return [(j, float(norm)) for j, norm in enumerate(norms, start=1)]
+    norms = commutator_norm(model.r0, _relative_propagators(props))
+    return list(enumerate(norms.tolist(), start=1))
 
 
 def cross_commutation_norms(props):
     """Family-2 norms: (j, l, ||[W_j0, W_l0]||_F) for 0 < l < j."""
-    n = len(props.w)
-    pairs = [(j, l) for j in range(2, n) for l in range(1, j)]
-    if not pairs:
-        return []
-    js, ls = map(list, zip(*pairs))
-    pair = props.w @ props.w[0].conj().T          # W_j0 for every j
-    norms = commutator_norm(pair[js], pair[ls])
-    return [(j, l, float(norm)) for (j, l), norm in zip(pairs, norms)]
+    pairs = _cross_pairs(len(props.w))
+    norms = _cross_norms(_relative_propagators(props), pairs)
+    return [(j, l, norm) for (j, l), norm in zip(pairs, norms.tolist())]
 
 
 def decide_from_props(model, props, tol_comm=DEFAULT_TOL_COMM):
-    """Render the verdict from already-built propagators."""
-    family1 = tuple(qubit_like_norms(model, props))
-    family2 = tuple(cross_commutation_norms(props))
+    """Render the verdict from already-built propagators.
+
+    U_j = w_0^dag w_j is formed once and serves both families; the records,
+    the failed conditions and the margin come from the two norm arrays.
+    """
+    u = _relative_propagators(props)
+    pairs = _cross_pairs(len(props.w))
+    norms1 = commutator_norm(model.r0, u)
+    norms2 = _cross_norms(u, pairs)
 
     # both families share one threshold: a validated R(0) has ||R(0)||_F <= 1
-    witnesses = []
-    distances = []
-    for j, norm in family1:
-        distances.append(abs(norm - tol_comm))
-        if norm > tol_comm:
-            witnesses.append(f"qubit_like[{j}]")
-    for j, l, norm in family2:
-        distances.append(abs(norm - tol_comm))
-        if norm > tol_comm:
-            witnesses.append(f"cross[{j},{l}]")
+    family1 = tuple(enumerate(norms1.tolist(), start=1))
+    family2 = tuple((j, l, norm) for (j, l), norm in zip(pairs, norms2.tolist()))
+    witnesses = ([f"qubit_like[{j}]" for j, norm in family1 if norm > tol_comm]
+                 + [f"cross[{j},{l}]" for j, l, norm in family2
+                    if norm > tol_comm])
+    distances = np.abs(np.concatenate([norms1, norms2]) - tol_comm)
 
     return CriterionReport(
         t=props.t,
         qubit_like=family1,
         cross=family2,
         verdict="separable" if not witnesses else "entangled",
-        margin=min(distances) if distances else float("inf"),
+        margin=float(distances.min()) if distances.size else float("inf"),
         witnesses=tuple(witnesses),
         tol_comm=tol_comm,
     )

@@ -76,9 +76,14 @@ def conditional_block(model, props, k, l):
     return props.w[k] @ model.r0 @ props.w[l].conj().T
 
 
-def joint_state(model, props):
-    """The full joint density matrix: block (k, l) is c_k c_l^* R_kl(t)."""
-    sigma = backend.assemble_joint(model.c, props.w, model.r0)
+def joint_state(model, props, out=None):
+    """The full joint density matrix: block (k, l) is c_k c_l^* R_kl(t).
+
+    With ``out`` (a C-contiguous complex128 (NM, NM) array) sigma is written
+    there, and the returned state's ``sigma`` is ``out`` itself; a time loop
+    passes the same array at every step.
+    """
+    sigma = backend.assemble_joint(model.c, props.w, model.r0, out=out)
     return JointState(t=props.t, sigma=sigma, dims=(model.n, model.m))
 
 

@@ -63,6 +63,18 @@ def _as_square(a, name="matrix", stacked=False):
     return a
 
 
+def _check_out(out, shape):
+    """Require a caller-supplied output buffer to be a C-contiguous
+    complex128 array of exactly ``shape``."""
+    if (not isinstance(out, np.ndarray) or out.shape != shape
+            or out.dtype != np.complex128 or not out.flags.c_contiguous):
+        got = (f"{out.dtype} array of shape {out.shape}"
+               if isinstance(out, np.ndarray) else type(out).__name__)
+        raise DimensionMismatchError(
+            f"out must be a C-contiguous complex128 array of shape {shape}, "
+            f"got {got}")
+
+
 def _require_hermitian(a):
     """Raise NotHermitianError unless ||A - A^dag||_F <= INPUT_TOL *
     max(1, ||A||_F)."""
@@ -93,11 +105,13 @@ def unitary_exp_hermitian(h, theta):
     return (vecs * phases) @ vecs.conj().T
 
 
-def partial_transpose(rho, dim_s, dim_e, subsystem="environment"):
+def partial_transpose(rho, dim_s, dim_e, subsystem="environment", out=None):
     """Partial transpose of a bipartite matrix with index order r = s*M + e.
 
     ``subsystem`` selects which tensor factor is transposed: ``"system"``
     swaps the system blocks, ``"environment"`` transposes within each block.
+    With ``out`` (a C-contiguous complex128 array of rho's shape, not rho
+    itself) the result is written there and ``out`` is returned.
     """
     rho = _as_square(rho, "rho")
     if rho.shape[0] != dim_s * dim_e:
@@ -110,7 +124,11 @@ def partial_transpose(rho, dim_s, dim_e, subsystem="environment"):
         arr = arr.transpose(0, 3, 2, 1)
     else:
         arr = arr.transpose(2, 1, 0, 3)
-    return arr.reshape(dim_s * dim_e, dim_s * dim_e)
+    if out is None:
+        return arr.reshape(dim_s * dim_e, dim_s * dim_e)
+    _check_out(out, rho.shape)
+    np.copyto(out.reshape(arr.shape), arr)
+    return out
 
 
 def commutator(a, b):

@@ -95,11 +95,11 @@ def _check_matrix(errors, path, a, dim):
     return True
 
 
-def _check_hermitian(errors, path, a):
+def _check_hermitian(errors, path, a, what=""):
     try:
         _require_hermitian(a)
     except NotHermitianError as exc:
-        errors.append((path, str(exc)))
+        errors.append((path, f"{what}{exc}"))
         return False
     return True
 
@@ -122,14 +122,18 @@ def validate(model):
             errors.append(("c", f"sum |c_k|^2 = {s!r}, expected 1"))
 
     if model.mode == "hamiltonian":
-        if _check_matrix(errors, "h_env", model.h_env, model.m):
-            _check_hermitian(errors, "h_env", model.h_env)
+        h_ok = (_check_matrix(errors, "h_env", model.h_env, model.m)
+                and _check_hermitian(errors, "h_env", model.h_env))
         if model.v is None or len(model.v) != model.n:
             errors.append(("v", f"expected {model.n} coupling operators"))
         else:
             for k, vk in enumerate(model.v):
-                if _check_matrix(errors, f"v[{k}]", vk, model.m):
-                    _check_hermitian(errors, f"v[{k}]", vk)
+                if (_check_matrix(errors, f"v[{k}]", vk, model.m)
+                        and _check_hermitian(errors, f"v[{k}]", vk) and h_ok):
+                    # the propagators decompose the sum, whose norm may be
+                    # far smaller than either term's
+                    _check_hermitian(errors, f"v[{k}]", model.h_env + vk,
+                                     f"h_env + v[{k}]: ")
     else:
         if model.w is None or len(model.w) != model.n:
             errors.append(("w", f"expected {model.n} propagators"))
@@ -159,8 +163,11 @@ def validate(model):
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-def _encode_matrix(a):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(a, dtype=complex)]
+def _encode_complex(a):
+    """A complex vector or matrix as nested row-major lists of [re, im]
+    pairs of Python floats."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _decode_matrix(rows, path):
@@ -177,14 +184,14 @@ def model_to_dict(model):
         "mode": model.mode,
         "n": model.n,
         "m": model.m,
-        "c": [[float(z.real), float(z.imag)] for z in np.asarray(model.c, dtype=complex)],
-        "r0": _encode_matrix(model.r0),
+        "c": _encode_complex(model.c),
+        "r0": _encode_complex(model.r0),
     }
     if model.mode == "hamiltonian":
-        doc["h_env"] = _encode_matrix(model.h_env)
-        doc["v"] = [_encode_matrix(vk) for vk in model.v]
+        doc["h_env"] = _encode_complex(model.h_env)
+        doc["v"] = [_encode_complex(vk) for vk in model.v]
     else:
-        doc["w"] = [_encode_matrix(wk) for wk in model.w]
+        doc["w"] = [_encode_complex(wk) for wk in model.w]
     return doc
 
 
@@ -233,10 +240,34 @@ def model_from_dict(doc):
     return DephasingModel(**kwargs)
 
 
+def _layout(value, depth=0):
+    """JSON text of ``value`` with one matrix row per line.
+
+    A list whose items are lists of lists (a matrix of [re, im] pairs, or a
+    stack of matrices) gets one item per line; every other value is written
+    whole by the C encoder (``json.dump`` with ``indent`` would use the
+    pure-Python one).
+    """
+    if isinstance(value, dict):
+        items = [f"{json.dumps(key)}: {_layout(value[key], depth + 1)}"
+                 for key in sorted(value)]
+        brackets = "{}"
+    elif (isinstance(value, list) and value and isinstance(value[0], list)
+          and value[0] and isinstance(value[0][0], list)):
+        items = [_layout(item, depth + 1) for item in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    pad = " " * depth
+    return (brackets[0] + "\n" + ",\n".join(f"{pad} {item}" for item in items)
+            + f"\n{pad}" + brackets[1])
+
+
 def save_model(model, path):
+    """Write ``model`` as JSON: sorted keys, complex scalars as [re, im]
+    pairs, one matrix row per line.  The bytes depend only on the model."""
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_layout(model_to_dict(model)) + "\n")
 
 
 def load_model(path):

@@ -92,10 +92,14 @@ class WitnessScan:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def pt_spectrum(state, subsystem="system"):
-    """Ascending eigenvalues of the partial transpose of the joint state."""
+def pt_spectrum(state, subsystem="system", out=None):
+    """Ascending eigenvalues of the partial transpose of the joint state.
+
+    With ``out`` (a C-contiguous complex128 (NM, NM) array) the partial
+    transpose is written there instead of into a fresh array.
+    """
     n, m = state.dims
-    pt = partial_transpose(state.sigma, n, m, subsystem)
+    pt = partial_transpose(state.sigma, n, m, subsystem, out=out)
     return np.linalg.eigvalsh(pt)
 
 

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from dephasing import cli
 from dephasing.cli import main
+from dephasing.linalg import NotHermitianError
 from dephasing.model import (
     DephasingModel,
     EnsembleSpec,
@@ -15,6 +17,7 @@ from dephasing.model import (
     save_model,
     validate,
 )
+from util import cancelling_model
 
 
 @pytest.fixture
@@ -80,6 +83,26 @@ class TestCheck:
         assert main(["check", "--model", str(path)]) == 1
         doc = json.loads(capsys.readouterr().err)
         assert any(e["path"] == "r0" for e in doc["errors"])
+
+    def test_model_that_fails_only_in_the_propagators_is_an_error(
+            self, tmp_path, capsys):
+        path = tmp_path / "cancelling.json"
+        save_model(cancelling_model(), path)
+        assert main(["check", "--model", str(path), "--t", "1.0"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert {e["path"] for e in json.loads(err)["errors"]} == {
+            "v[0]", "v[1]", "v[2]"}
+
+    def test_kernel_error_is_reported_without_traceback(
+            self, separable_path, capsys, monkeypatch):
+        def failing(model, t):
+            raise NotHermitianError("not Hermitian: ||A - A^dag||_F = 1e-3")
+
+        monkeypatch.setattr(cli, "propagators", failing)
+        assert main(["check", "--model", separable_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: not Hermitian") and "Traceback" not in err
 
     @pytest.mark.parametrize("override,path", [
         (5, "$"),

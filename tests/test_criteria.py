@@ -104,6 +104,29 @@ class TestCrossNorms:
             assert [rec[:-1] for rec in got] == [rec[:-1] for rec in want]
             assert max(abs(a[-1] - b[-1]) for a, b in zip(got, want)) < 1e-13
 
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 4), (4, 5), (5, 8), (6, 16)])
+    def test_relative_propagator_norms_match_pair_operator_loop(self, n, m):
+        # ||[U_j, U_l]|| with U_j = w_0^dag w_j equals ||[W_j0, W_l0]||
+        rng = np.random.default_rng(n * 100 + m)
+        snapshot = DephasingModel(
+            n=n, m=m, c=np.full(n, 1 / np.sqrt(n), dtype=complex),
+            r0=np.eye(m, dtype=complex) / m,
+            w=tuple(rand_unitary(rng, m) for _ in range(n)))
+        models = [generic_model(seed=n, n=n, m=m), commuting_model(n=n, m=m),
+                  validate(snapshot)]
+        for mdl in models:
+            props = propagators(mdl, 1.7)
+            w = props.w
+            pair = [w[j] @ w[0].conj().T for j in range(n)]
+            want = [(j, l, commutator_norm(pair[j], pair[l]))
+                    for j in range(2, n) for l in range(1, j)]
+            got = cross_commutation_norms(props)
+            assert [rec[:2] for rec in got] == [rec[:2] for rec in want]
+            assert all(abs(a[2] - b[2]) < 1e-14 for a, b in zip(got, want))
+            report = decide_from_props(mdl, props)
+            assert report.cross == tuple(got)
+            assert report.qubit_like == tuple(qubit_like_norms(mdl, props))
+
 
 class TestDecide:
     def test_fixture_entangled_by_cross_condition_only(self):

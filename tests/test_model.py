@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dephasing.criteria import decide
+from dephasing.linalg import _require_hermitian
 from dephasing.model import (
     DephasingModel,
     EnsembleSpec,
@@ -17,6 +18,7 @@ from dephasing.model import (
     save_model,
     validate,
 )
+from util import cancelling_model
 
 
 def make_qutrit_model():
@@ -70,6 +72,17 @@ class TestValidate:
                                     h_env=m.h_env, v=tuple(v)))
         assert any(path == "v[1]" for path, _ in exc.value.errors)
 
+    def test_rejects_non_hermitian_sum_of_hamiltonian_and_coupling(self):
+        bad = cancelling_model()
+        for k in range(bad.n):   # each term on its own passes
+            _require_hermitian(bad.v[k])
+        _require_hermitian(bad.h_env)
+        with pytest.raises(ValidationError) as exc:
+            validate(bad)
+        assert [path for path, _ in exc.value.errors] == ["v[0]", "v[1]", "v[2]"]
+        assert [reason.split(": ")[:2] for _, reason in exc.value.errors] == [
+            [f"h_env + v[{k}]", "not Hermitian"] for k in range(3)]
+
     def test_rejects_nonunitary_propagator(self):
         ex = mixed_qutrit_example()
         w = list(ex.w)
@@ -110,6 +123,53 @@ class TestSerialization:
         assert loaded.mode == "propagator"
         for a, b in zip(loaded.w, m.w):
             assert np.array_equal(a, b)
+
+    @staticmethod
+    def bits(model):
+        arrays = [model.c, model.r0] + list(
+            (model.h_env,) + model.v if model.mode == "hamiltonian" else model.w)
+        return [np.asarray(a).tobytes() for a in arrays]
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_files_load_bit_identically(self, tmp_path, family):
+        spec = EnsembleSpec(seed=8, count=2, n=4, m=6, family=family)
+        for index in range(spec.count):
+            m = validate(random_instance(spec, index))
+            path = tmp_path / "model.json"
+            save_model(m, path)
+            assert self.bits(load_model(path)) == self.bits(m)
+
+    def test_one_matrix_row_per_line(self, tmp_path):
+        spec = EnsembleSpec(seed=8, count=1, n=3, m=5)
+        m = validate(random_instance(spec, 0))
+        path = tmp_path / "model.json"
+        save_model(m, path)
+        lines = path.read_text().splitlines()
+        rows = [line for line in lines if line.lstrip().startswith("[[")]
+        # c on its key's line; r0, h_env and 3 couplings one row per line
+        assert len(rows) == 5 * (2 + 3)
+        assert all(len(json.loads(row.rstrip(","))) == 5 for row in rows)
+        assert json.loads(path.read_text()) == model_to_dict(m)
+
+    def test_bytes_reproducible(self, tmp_path):
+        spec = EnsembleSpec(seed=8, count=1, n=3, m=5, family=Family.PURE)
+        for name in ("a.json", "b.json"):
+            save_model(validate(random_instance(spec, 0)), tmp_path / name)
+        assert ((tmp_path / "a.json").read_bytes()
+                == (tmp_path / "b.json").read_bytes())
+
+    @pytest.mark.parametrize("make", [make_qutrit_model, mixed_qutrit_example],
+                             ids=["hamiltonian", "propagator"])
+    def test_files_of_older_versions_still_load(self, tmp_path, make):
+        m = make()
+        old = tmp_path / "old.json"   # the indented layout written before
+        with open(old, "w") as fh:
+            json.dump(model_to_dict(m), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        new = tmp_path / "new.json"
+        save_model(m, new)
+        assert old.read_bytes() != new.read_bytes()
+        assert self.bits(load_model(old)) == self.bits(load_model(new)) == self.bits(m)
 
     def test_complex_scalars_are_pairs(self):
         doc = model_to_dict(mixed_qutrit_example())

@@ -2,8 +2,10 @@
 
 A global phase on the amplitudes c and a unitary change of environment
 basis leave the joint state's entanglement untouched, so they must leave the
-verdict and the smallest partial-transpose eigenvalue unchanged; models whose
-operators all commute must stay separable at every time.  Draws whose
+verdict and the smallest partial-transpose eigenvalue unchanged; so must
+scaling every energy by s and the time by 1/s, which leaves each propagator
+exp(-i (H_E + V_k) t) as it was.  Models whose operators all commute must
+stay separable at every time.  Draws whose
 commutator norms sit within half a threshold of ``tol_comm`` are skipped,
 since rounding alone may flip them.
 """
@@ -11,6 +13,7 @@ since rounding alone may flip them.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -77,3 +80,21 @@ def test_commuting_models_stay_separable(model, t):
     report, pt_min = evaluate(model, t)
     assert report.separable
     assert pt_min > -1e-10
+
+
+@pytest.mark.parametrize("family", [Family.GENERIC, Family.COMMUTING, Family.MIXED],
+                         ids=lambda f: f.value)
+def test_rescaling_energies_against_time_changes_nothing(family):
+    for index in range(3):
+        model = validate(random_instance(
+            EnsembleSpec(seed=41, count=3, n=3, m=6, family=family), index))
+        for t in (0.4, 2.5):
+            report, pt_min = evaluate(model, t)
+            assert report.margin > report.tol_comm / 2
+            for s in (1e-6, 1e-3, 1e3, 1e6):
+                scaled = validate(dataclasses.replace(
+                    model, h_env=s * model.h_env,
+                    v=tuple(s * vk for vk in model.v)))
+                other_report, other_pt_min = evaluate(scaled, t / s)
+                assert other_report.verdict == report.verdict
+                assert abs(other_pt_min - pt_min) < 1e-9

@@ -21,6 +21,26 @@ def rand_unitary(rng, m):
     return q * (d / np.abs(d))
 
 
+def cancelling_model(seed=0, n=3, m=4, scale=1e6, skew=1e-5):
+    """A model whose H_E and V_k each pass the Hermiticity check relative to
+    their own norm (about ``scale``) while H_E + V_k = O(1) does not: every
+    coupling is -H_E plus an O(1) Hermitian term, and each of H_E and V_k
+    carries the same anti-Hermitian part of Frobenius norm ``skew``."""
+    from dephasing.model import DephasingModel
+
+    rng = np.random.default_rng(seed)
+    h = rand_hermitian(rng, m)
+    h *= scale / np.linalg.norm(h)
+    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    anti = (g - g.conj().T) / 2
+    anti *= skew / np.linalg.norm(anti)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return DephasingModel(
+        n=n, m=m, c=c / np.linalg.norm(c), r0=rand_density(rng, m),
+        h_env=h + anti,
+        v=tuple(-h + rand_hermitian(rng, m) + anti for _ in range(n)))
+
+
 def rand_density(rng, m):
     g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     rho = g @ g.conj().T
