@@ -11,7 +11,7 @@ Minor classes:
 * X -- the same 3x3 structure for any triple of system levels
 * Y / Y-tilde -- bordered (M+1)x(M+1) minors for a pair of system levels,
   with a case split on how many weights of the conditional environment state
-  vanish (the Y class is non-informative once two or more weights vanish,
+  vanish (the Y class vanishes identically once two or more weights vanish,
   and the Y-tilde class takes over)
 """
 
@@ -56,7 +56,6 @@ class MinorEvaluation:
     indices: tuple
     closed_form: float
     determinant: float
-    informative: bool = True
 
     def to_dict(self):
         return {
@@ -191,69 +190,99 @@ def _kept_states(p, y):
     return np.flatnonzero((p >= ZERO_WEIGHT_CUT) | coupled)
 
 
-def _y_data(model, props, i, j):
-    """Eigenbasis data for the bordered minor classes of the pair (i, j).
-
-    Returns (p, y, kept) after eliminating environment states with zero
-    weight that are fully decoupled from the pair operator; the index arrays
-    refer to the ascending eigenbasis of R_ii(t).
-    """
-    r_ii = conditional_block(model, props, i, i)
-    vals, vecs = hermitian_eig(r_ii)
-    p_full = np.clip(vals, 0.0, None)
-    y_full = vecs.conj().T @ pair_operator(props, i, j) @ vecs
-    kept = _kept_states(p_full, y_full)
-    return p_full[kept], y_full[np.ix_(kept, kept)], kept
+def _level_eig(model, props, i):
+    """Weights (clipped at zero) and ascending eigenbasis of R_ii(t), shared
+    by every pair (i, j)."""
+    vals, vecs = hermitian_eig(conditional_block(model, props, i, i))
+    return np.clip(vals, 0.0, None), vecs
 
 
-def _y_closed_and_det(ci, cj, p, y, n_pos):
+def _bordered_det(ci, cj, p, y, n_pos, cols):
+    """Determinant of diag(|c_i|^2 p) over the states ``cols``, bordered by
+    row n_pos of the pair operator."""
+    d = len(cols)
+    bordered = np.zeros((d + 1, d + 1), dtype=np.complex128)
+    bordered[:d, :d] = np.diag(abs(ci) ** 2 * p[cols])
+    border = np.conj(ci) * cj * p[n_pos] * np.conj(y[n_pos, cols])
+    bordered[:d, d] = border
+    bordered[d, :d] = np.conj(border)
+    bordered[d, d] = abs(cj) ** 2 * float(np.sum(p * np.abs(y[:, n_pos]) ** 2))
+    return float(np.linalg.det(bordered).real)
+
+
+def _y_closed(ci, cj, p, y, n_pos):
     """Exact determinant identity for the bordered Y minor at position n_pos."""
     mdim = p.shape[0]
     prod_except = np.array([np.prod(np.delete(p, k)) for k in range(mdim)])
     total = np.prod(p)
     col_weight = float(np.sum(p * np.abs(y[:, n_pos]) ** 2))
-    closed = (abs(ci) ** (2 * mdim) * abs(cj) ** 2
-              * (total * col_weight
-                 - float(np.sum(prod_except * p[n_pos] ** 2
-                                * np.abs(y[n_pos, :]) ** 2))))
-    bordered = np.zeros((mdim + 1, mdim + 1), dtype=np.complex128)
-    bordered[:mdim, :mdim] = np.diag(abs(ci) ** 2 * p)
-    border = np.conj(ci) * cj * p[n_pos] * np.conj(y[n_pos, :])
-    bordered[:mdim, mdim] = border
-    bordered[mdim, :mdim] = np.conj(border)
-    bordered[mdim, mdim] = abs(cj) ** 2 * col_weight
-    det = np.linalg.det(bordered).real
-    return float(closed), float(det)
+    return float(abs(ci) ** (2 * mdim) * abs(cj) ** 2
+                 * (total * col_weight
+                    - float(np.sum(prod_except * p[n_pos] ** 2
+                                   * np.abs(y[n_pos, :]) ** 2))))
+
+
+def _pair_minors(model, props, i, j, p_full, vecs):
+    """Every bordered minor of the pair (i, j), keyed by its indices, from
+    (p_full, vecs) = ``_level_eig`` of level i.
+
+    After decoupled zero-weight states are eliminated, the table holds Y at
+    every kept n while fewer than two weights vanish, else Y-tilde at every
+    nonzero-weight n and zero-weight r.
+    """
+    y_full = vecs.conj().T @ pair_operator(props, i, j) @ vecs
+    kept = _kept_states(p_full, y_full)
+    p, y = p_full[kept], y_full[np.ix_(kept, kept)]
+    ci, cj = model.c[i], model.c[j]
+    zero_mask = p < ZERO_WEIGHT_CUT
+    num_zero = int(zero_mask.sum())
+    table = {}
+    if num_zero < 2:
+        cols = np.arange(len(kept))
+        for n_pos in cols:
+            key = (i, j, int(kept[n_pos]))
+            table[key] = MinorEvaluation(
+                "Y", key, _y_closed(ci, cj, p, y, n_pos),
+                _bordered_det(ci, cj, p, y, n_pos, cols))
+        return table
+    nonzero = np.flatnonzero(~zero_mask)
+    scale = (abs(ci) ** (2 * (len(kept) - num_zero + 1)) * abs(cj) ** 2
+             * float(np.prod(p[nonzero])))
+    for n_pos in nonzero:
+        for r_pos in np.flatnonzero(zero_mask):
+            # bordered over the nonzero states plus the single state r
+            key = (i, j, int(kept[n_pos]), int(kept[r_pos]))
+            closed = -(scale * p[n_pos] ** 2 * abs(y[n_pos, r_pos]) ** 2)
+            table[key] = MinorEvaluation(
+                "Ytilde", key, float(closed),
+                _bordered_det(ci, cj, p, y, n_pos,
+                              np.append(nonzero, r_pos)))
+    return table
+
+
+def _bordered_lookup(model, props, key, requirement):
+    """The entry ``key`` = (i, j, ...) of the pair (i, j)'s minor table."""
+    i, j = key[:2]
+    if i == j:
+        raise ValueError("system indices must be distinct")
+    table = _pair_minors(model, props, i, j, *_level_eig(model, props, i))
+    if key not in table:
+        raise PreconditionFailedError(f"no minor at {key}: {requirement}")
+    return table[key]
 
 
 def minor_Y(model, props, i, j, n):
     """Bordered principal minor for the pair (i, j), environment state n.
 
     Indices refer to the ascending eigenbasis of R_ii(t) after eliminating
-    decoupled zero-weight environment states.  When two or more weights
-    remain zero the whole class vanishes identically and the evaluation is
-    flagged non-informative.
+    decoupled zero-weight environment states.  Raises
+    ``PreconditionFailedError`` for an eliminated n, or when two or more
+    weights remain zero (the class vanishes; ``minor_Ytilde`` takes over).
     """
-    if i == j:
-        raise ValueError("system indices must be distinct")
-    return _minor_Y_from(model, i, j, n, *_y_data(model, props, i, j))
-
-
-def _minor_Y_from(model, i, j, n, p, y, kept):
-    """``minor_Y`` on the pair data (p, y, kept) returned by ``_y_data``."""
-    positions = {state: pos for pos, state in enumerate(kept)}
-    if n not in positions:
-        raise PreconditionFailedError(
-            f"environment state {n} was eliminated as decoupled")
-    closed, det = _y_closed_and_det(model.c[i], model.c[j], p, y, positions[n])
-    num_zero = int(np.sum(p < ZERO_WEIGHT_CUT))
-    return MinorEvaluation(
-        class_tag="Y",
-        indices=(i, j, n),
-        closed_form=closed,
-        determinant=det,
-        informative=num_zero < 2,
-    )
+    return _bordered_lookup(
+        model, props, (i, j, n),
+        "requires fewer than two zero weights and a state that was not "
+        "eliminated as decoupled")
 
 
 def minor_Ytilde(model, props, i, j, n, r):
@@ -263,75 +292,10 @@ def minor_Ytilde(model, props, i, j, n, r):
     nonzero-weight state, both in the basis of ``minor_Y``; the minor is
     negative iff the pair operator couples them.
     """
-    if i == j:
-        raise ValueError("system indices must be distinct")
-    return _minor_Ytilde_from(model, i, j, n, r, *_y_data(model, props, i, j))
-
-
-def _minor_Ytilde_from(model, i, j, n, r, p, y, kept):
-    """``minor_Ytilde`` on the pair data (p, y, kept) returned by ``_y_data``."""
-    positions = {state: pos for pos, state in enumerate(kept)}
-    if n not in positions or r not in positions:
-        raise PreconditionFailedError(
-            "requested environment state was eliminated as decoupled")
-    zero_mask = p < ZERO_WEIGHT_CUT
-    num_zero = int(zero_mask.sum())
-    if num_zero < 2:
-        raise PreconditionFailedError(
-            f"this class requires >= 2 zero weights, found {num_zero}")
-    n_pos, r_pos = positions[n], positions[r]
-    if not zero_mask[r_pos]:
-        raise PreconditionFailedError(f"state {r} has nonzero weight")
-    if zero_mask[n_pos]:
-        raise PreconditionFailedError(f"state {n} has zero weight")
-
-    mdim = len(kept)
-    nonzero = np.flatnonzero(~zero_mask)
-    ci, cj = model.c[i], model.c[j]
-    closed = -(abs(ci) ** (2 * (mdim - num_zero + 1)) * abs(cj) ** 2
-               * float(np.prod(p[nonzero]))
-               * p[n_pos] ** 2 * abs(y[n_pos, r_pos]) ** 2)
-
-    # bordered determinant over the nonzero states plus the single state r
-    keep_pos = list(nonzero) + [r_pos]
-    d = len(keep_pos)
-    bordered = np.zeros((d + 1, d + 1), dtype=np.complex128)
-    bordered[:d, :d] = np.diag(abs(ci) ** 2 * p[keep_pos])
-    border = np.conj(ci) * cj * p[n_pos] * np.conj(y[n_pos, keep_pos])
-    bordered[:d, d] = border
-    bordered[d, :d] = np.conj(border)
-    bordered[d, d] = abs(cj) ** 2 * float(np.sum(p * np.abs(y[:, n_pos]) ** 2))
-    det = float(np.linalg.det(bordered).real)
-
-    return MinorEvaluation(
-        class_tag="Ytilde",
-        indices=(i, j, n, r),
-        closed_form=float(closed),
-        determinant=det,
-    )
-
-
-def _scan_pair_minors(model, props, i, j):
-    """All negative bordered minors (Y or Y-tilde as applicable) for (i, j),
-    evaluated from one eigendecomposition of R_ii(t)."""
-    data = _y_data(model, props, i, j)
-    p, _, kept = data
-    zero_mask = p < ZERO_WEIGHT_CUT
-    num_zero = int(zero_mask.sum())
-    found = []
-    if num_zero >= 2:
-        for n_pos in np.flatnonzero(~zero_mask):
-            for r_pos in np.flatnonzero(zero_mask):
-                ev = _minor_Ytilde_from(model, i, j, int(kept[n_pos]),
-                                        int(kept[r_pos]), *data)
-                if ev.closed_form < NEGATIVE_CUT:
-                    found.append(ev)
-    else:
-        for n_pos in range(len(kept)):
-            ev = _minor_Y_from(model, i, j, int(kept[n_pos]), *data)
-            if ev.informative and ev.closed_form < NEGATIVE_CUT:
-                found.append(ev)
-    return found
+    return _bordered_lookup(
+        model, props, (i, j, n, r),
+        "requires >= 2 zero weights, a nonzero-weight n and a zero-weight r, "
+        "neither eliminated as decoupled")
 
 
 def witness_scan(model, props, report):
@@ -345,16 +309,16 @@ def witness_scan(model, props, report):
     state = joint_state(model, props)
     eigs = pt_spectrum(state, "system")
 
-    family1_failed = any(w.startswith("qubit_like") for w in report.witnesses)
-    family2_failed = any(w.startswith("cross") for w in report.witnesses)
-
     found = []
-    if family1_failed:
+    if report.max_qubit_like > report.tol_comm:
         for i in range(model.n):
+            level = _level_eig(model, props, i)
             for j in range(model.n):
                 if i != j:
-                    found.extend(_scan_pair_minors(model, props, i, j))
-    elif family2_failed:
+                    table = _pair_minors(model, props, i, j, *level)
+                    found.extend(ev for ev in table.values()
+                                 if ev.closed_form < NEGATIVE_CUT)
+    elif report.max_cross > report.tol_comm:
         for i in range(model.n):
             for j in range(model.n):
                 if i == j:

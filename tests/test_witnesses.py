@@ -3,7 +3,7 @@ import pytest
 
 from dephasing import witnesses
 from dephasing.criteria import decide_from_props
-from dephasing.evolution import joint_state, propagators
+from dephasing.evolution import joint_state, pair_operator, propagators
 from dephasing.model import (
     DephasingModel,
     EnsembleSpec,
@@ -13,6 +13,7 @@ from dephasing.model import (
     validate,
 )
 from dephasing.witnesses import (
+    NEGATIVE_CUT,
     PreconditionFailedError,
     minor_D,
     minor_X,
@@ -22,7 +23,7 @@ from dephasing.witnesses import (
     pt_spectrum,
     witness_scan,
 )
-from util import kept_states_loop, rand_unitary
+from util import bordered_minors_loop, kept_states_loop, rand_unitary
 
 FIXTURE_PT_EIGS = np.array([-1, -1, 2, 2, 2, 2]) / 6.0
 
@@ -35,6 +36,31 @@ def fixture_props():
 def instance(family, seed=0, n=3, m=3, index=0):
     spec = EnsembleSpec(seed=seed, count=index + 1, n=n, m=m, family=family)
     return validate(random_instance(spec, index))
+
+
+def one_zero_weight_model():
+    """Generic couplings, r0 with exactly one zero eigenvalue."""
+    rng = np.random.default_rng(55)
+    q = rand_unitary(rng, 3)
+    r0 = (q * np.array([0.6, 0.4, 0.0])) @ q.conj().T
+    base = instance(Family.GENERIC, seed=60, n=3, m=3)
+    return validate(DephasingModel(n=3, m=3, c=base.c,
+                                   r0=(r0 + r0.conj().T) / 2,
+                                   h_env=base.h_env, v=base.v))
+
+
+def decoupled_zero_weight_model(weights, seed):
+    """A qubit with w_0 = 1 and diagonal r0 whose last state has zero weight
+    and is left alone by w_1, a random unitary on the other states.  R_00(t)
+    = r0 is diagonal, so its ascending eigenbasis is a permutation of the
+    standard basis."""
+    m = len(weights)
+    w1 = np.eye(m, dtype=complex)
+    w1[:-1, :-1] = rand_unitary(np.random.default_rng(seed), m - 1)
+    return validate(DephasingModel(
+        n=2, m=m, c=np.array([1, 1], dtype=complex) / np.sqrt(2),
+        r0=np.diag(weights).astype(complex),
+        w=(np.eye(m, dtype=complex), w1)))
 
 
 class TestPtSpectrum:
@@ -210,29 +236,34 @@ class TestMinorY:
                         <= 1e-8 * max(1, abs(ev.determinant))
 
     def test_single_zero_weight_case(self):
-        # r0 with exactly one zero eigenvalue and generic coupling
-        rng = np.random.default_rng(55)
-        q = rand_unitary(rng, 3)
-        r0 = (q * np.array([0.6, 0.4, 0.0])) @ q.conj().T
-        base = instance(Family.GENERIC, seed=60, n=3, m=3)
-        m = validate(DephasingModel(n=3, m=3, c=base.c, r0=(r0 + r0.conj().T) / 2,
-                                    h_env=base.h_env, v=base.v))
+        m = one_zero_weight_model()
         props = propagators(m, 1.0)
         values = []
         for n in range(3):
             ev = minor_Y(m, props, 0, 1, n)
-            assert ev.informative
             assert abs(ev.closed_form - ev.determinant) \
                 <= 1e-8 * max(1, abs(ev.determinant))
             values.append(ev.closed_form)
         assert min(values) < -1e-9  # coupled zero state forces entanglement
 
-    def test_two_zero_weights_not_informative(self):
+    def test_two_zero_weights_refused(self):
+        # the Y class vanishes identically there; Y-tilde takes over
         m = instance(Family.PURE, seed=31, n=3, m=3)
         props = propagators(m, 1.0)
-        ev = minor_Y(m, props, 0, 1, 2)
-        assert not ev.informative
-        assert abs(ev.closed_form) < 1e-12
+        for n in range(3):
+            with pytest.raises(PreconditionFailedError):
+                minor_Y(m, props, 0, 1, n)
+        assert minor_Ytilde(m, props, 0, 1, 2, 0).class_tag == "Ytilde"
+
+    def test_eliminated_state_refused(self):
+        # r0 = diag(0.6, 0.4, 0): the zero-weight state sorts first and is
+        # decoupled, so it is eliminated and the other two keep the Y class
+        m = decoupled_zero_weight_model([0.6, 0.4, 0.0], seed=43)
+        props = propagators(m, 1.0)
+        with pytest.raises(PreconditionFailedError):
+            minor_Y(m, props, 0, 1, 0)
+        for n in (1, 2):
+            assert minor_Y(m, props, 0, 1, n).indices == (0, 1, n)
 
 
 class TestMinorYtilde:
@@ -269,6 +300,28 @@ class TestMinorYtilde:
         props = propagators(m, 1.0)
         with pytest.raises(PreconditionFailedError):
             minor_Ytilde(m, props, 0, 1, 0, 1)  # full-rank r0: no zero sector
+
+    def test_weight_roles_enforced(self):
+        # pure R_00(t): zero weights at positions 0..2, the occupied state 3
+        m = instance(Family.PURE, seed=31, n=3, m=4)
+        props = propagators(m, 1.0)
+        assert minor_Ytilde(m, props, 0, 1, 3, 0).class_tag == "Ytilde"
+        with pytest.raises(PreconditionFailedError):
+            minor_Ytilde(m, props, 0, 1, 0, 1)  # zero-weight n
+        with pytest.raises(PreconditionFailedError):
+            minor_Ytilde(m, props, 0, 1, 3, 3)  # nonzero-weight r
+
+    def test_eliminated_state_refused(self):
+        # r0 = diag(1, 0, 0, 0): standard states 1, 2, 3 sort to positions
+        # 0, 1, 2 and state 0 to 3; position 2 is decoupled and eliminated,
+        # leaving two coupled zero weights
+        m = decoupled_zero_weight_model([1.0, 0.0, 0.0, 0.0], seed=44)
+        props = propagators(m, 1.0)
+        with pytest.raises(PreconditionFailedError):
+            minor_Ytilde(m, props, 0, 1, 3, 2)
+        for r in (0, 1):
+            ev = minor_Ytilde(m, props, 0, 1, 3, r)
+            assert ev.closed_form < NEGATIVE_CUT
 
 
 class TestWitnessScan:
@@ -313,16 +366,34 @@ class TestWitnessScan:
 
         monkeypatch.setattr(witnesses, "hermitian_eig", counted)
         scan = witness_scan(m, props, report)
-        assert len(calls) == m.n * (m.n - 1)  # one per ordered pair
+        assert len(calls) == m.n  # one per level i, shared by its pairs
         monkeypatch.undo()
         assert scan.witnesses
         for w in scan.witnesses:
-            if w.class_tag == "Y":
-                single = minor_Y(m, props, *w.indices)
-            else:
-                single = minor_Ytilde(m, props, *w.indices)
-            assert (single.closed_form, single.determinant) == \
-                (w.closed_form, w.determinant)
+            lookup = minor_Y if w.class_tag == "Y" else minor_Ytilde
+            assert lookup(m, props, *w.indices) == w
+
+    @pytest.mark.parametrize("model", [
+        instance(Family.GENERIC, seed=3, n=3, m=4),
+        one_zero_weight_model(),
+        instance(Family.PURE, seed=31, n=3, m=4),
+        decoupled_zero_weight_model([1.0, 0.0, 0.0, 0.0], seed=44),
+    ], ids=["generic", "one-zero-weight", "pure", "eliminated"])
+    def test_pair_tables_match_per_minor_loop(self, model):
+        props = propagators(model, 1.0)
+        for i in range(model.n):
+            p, vecs = witnesses._level_eig(model, props, i)
+            for j in range(model.n):
+                if i == j:
+                    continue
+                table = witnesses._pair_minors(model, props, i, j, p, vecs)
+                y = vecs.conj().T @ pair_operator(props, i, j) @ vecs
+                ref = bordered_minors_loop(
+                    model.c[i], model.c[j], p, y, i, j,
+                    witnesses.ZERO_WEIGHT_CUT, witnesses.DECOUPLE_CUT)
+                assert {key: (ev.class_tag, ev.closed_form, ev.determinant)
+                        for key, ev in table.items()} == ref
+                assert all(ev.indices == key for key, ev in table.items())
 
     def test_x_scan_diagonalizes_once_per_pair(self, monkeypatch):
         m = instance(Family.MIXED, seed=5, n=4, m=4)

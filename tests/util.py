@@ -230,3 +230,57 @@ def kept_states_loop(p, y, zero_weight_cut, decouple_cut):
                 break
         else:
             return kept
+
+
+def bordered_minors_loop(ci, cj, p_full, y_full, i, j, zero_weight_cut,
+                         decouple_cut):
+    """Reference bordered-minor table of the pair (i, j), one minor at a time.
+
+    ``p_full`` are the weights of R_ii(t) and ``y_full`` the pair operator
+    in its eigenbasis.  After eliminating decoupled zero-weight states, each
+    Y minor (fewer than two zero weights) or Y-tilde minor (two or more) gets
+    its own closed form and its own bordered matrix.  Returns
+    {indices: (class, closed form, determinant)}.
+    """
+    kept = kept_states_loop(p_full, y_full, zero_weight_cut, decouple_cut)
+    p, y = p_full[kept], y_full[np.ix_(kept, kept)]
+    mdim = len(kept)
+    zero_mask = p < zero_weight_cut
+    num_zero = int(zero_mask.sum())
+    table = {}
+    if num_zero < 2:
+        for n_pos in range(mdim):
+            prod_except = np.array([np.prod(np.delete(p, k))
+                                    for k in range(mdim)])
+            col_weight = float(np.sum(p * np.abs(y[:, n_pos]) ** 2))
+            closed = (abs(ci) ** (2 * mdim) * abs(cj) ** 2
+                      * (np.prod(p) * col_weight
+                         - float(np.sum(prod_except * p[n_pos] ** 2
+                                        * np.abs(y[n_pos, :]) ** 2))))
+            bordered = np.zeros((mdim + 1, mdim + 1), dtype=np.complex128)
+            bordered[:mdim, :mdim] = np.diag(abs(ci) ** 2 * p)
+            border = np.conj(ci) * cj * p[n_pos] * np.conj(y[n_pos, :])
+            bordered[:mdim, mdim] = border
+            bordered[mdim, :mdim] = np.conj(border)
+            bordered[mdim, mdim] = abs(cj) ** 2 * col_weight
+            table[(i, j, kept[n_pos])] = (
+                "Y", float(closed), float(np.linalg.det(bordered).real))
+        return table
+    nonzero = np.flatnonzero(~zero_mask)
+    for n_pos in nonzero:
+        for r_pos in np.flatnonzero(zero_mask):
+            closed = -(abs(ci) ** (2 * (mdim - num_zero + 1)) * abs(cj) ** 2
+                       * float(np.prod(p[nonzero]))
+                       * p[n_pos] ** 2 * abs(y[n_pos, r_pos]) ** 2)
+            keep_pos = list(nonzero) + [r_pos]
+            d = len(keep_pos)
+            bordered = np.zeros((d + 1, d + 1), dtype=np.complex128)
+            bordered[:d, :d] = np.diag(abs(ci) ** 2 * p[keep_pos])
+            border = np.conj(ci) * cj * p[n_pos] * np.conj(y[n_pos, keep_pos])
+            bordered[:d, d] = border
+            bordered[d, :d] = np.conj(border)
+            bordered[d, d] = abs(cj) ** 2 * float(
+                np.sum(p * np.abs(y[:, n_pos]) ** 2))
+            table[(i, j, kept[n_pos], kept[r_pos])] = (
+                "Ytilde", float(closed), float(np.linalg.det(bordered).real))
+    return table
