@@ -5,16 +5,13 @@ from .criteria import (
     CriterionReport,
     SeparableDecomposition,
     build_decomposition,
-    cross_commutation_norms,
     decide,
     decide_from_props,
-    qubit_like_norms,
 )
 from .evolution import (
     ConditionalPropagators,
     JointState,
     conditional_block,
-    decoherence_factors,
     joint_state,
     pair_operator,
     propagators,
@@ -24,7 +21,6 @@ from .linalg import (
     hermitian_eig,
     partial_transpose,
     simultaneous_diagonalize,
-    unitary_exp_hermitian,
 )
 from .model import (
     DephasingModel,
@@ -44,7 +40,6 @@ from .witnesses import (
     minor_X,
     minor_Y,
     minor_Ytilde,
-    negativity,
     pt_spectrum,
     witness_scan,
 )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .criteria import DEFAULT_TOL_COMM, decide_from_props
 from .evolution import joint_state, propagators
-from .linalg import LinalgError
+from .linalg import LinalgError, partial_transpose
 from .model import (
     EnsembleSpec,
     Family,
@@ -27,7 +27,7 @@ from .model import (
     save_model,
     validate,
 )
-from .witnesses import pt_spectrum
+from .witnesses import _negativity, pt_spectrum
 
 EXIT_SEPARABLE = 0
 EXIT_ERROR = 1
@@ -53,8 +53,7 @@ def _evaluate(model, t, tol_comm, buffers):
     report = decide_from_props(model, props, tol_comm=tol_comm)
     eigs = pt_spectrum(joint_state(model, props, out=sigma_out), "system",
                        out=pt_out)
-    neg = float(-eigs[eigs < 0].sum())
-    return report, eigs, neg
+    return report, eigs, _negativity(eigs)
 
 
 def _print_report(report, eigs, neg, fmt):
@@ -132,15 +131,14 @@ def _format_matrix(a):
 
 def cmd_example(args):
     model = validate(mixed_qutrit_example())
-    report, eigs, neg = _evaluate(model, 1.0, args.tol_comm,
-                                  _buffers(model.n, model.m))
-    state = joint_state(model, propagators(model, 1.0))
-    n, m = state.dims
-    from .linalg import partial_transpose
+    buffers = _buffers(model.n, model.m)
+    report, eigs, neg = _evaluate(model, 1.0, args.tol_comm, buffers)
+    sigma = buffers[0]   # _evaluate assembled the joint state here
     print("joint state sigma (times 6):")
-    print(_format_matrix(6 * state.sigma))
+    print(_format_matrix(6 * sigma))
     print("partial transpose over the environment (times 6):")
-    print(_format_matrix(6 * partial_transpose(state.sigma, n, m, "environment")))
+    print(_format_matrix(
+        6 * partial_transpose(sigma, model.n, model.m, "environment")))
     print("PT eigenvalues:", ", ".join(_sig6(e) for e in eigs))
     print(f"verdict: {report.verdict}")
     for j, norm in report.qubit_like:
@@ -162,6 +160,8 @@ def cmd_example(args):
 
 
 def cmd_random(args):
+    if args.count < 1:
+        raise ValueError("count must be >= 1")
     family = Family(args.family)
     spec = EnsembleSpec(seed=args.seed, count=args.count,
                         n=args.n, m=args.m, family=family)

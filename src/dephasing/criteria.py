@@ -21,8 +21,6 @@ __all__ = [
     "CriterionReport",
     "SeparableDecomposition",
     "NotSeparableError",
-    "qubit_like_norms",
-    "cross_commutation_norms",
     "decide",
     "decide_from_props",
     "build_decomposition",
@@ -74,23 +72,28 @@ class SeparableDecomposition:
     """The ensemble {p_n, rho_n, |n(t)>} realizing a separable joint state.
 
     ``phases[i, n]`` is the unimodular diagonal value of W_i0 on basis state
-    n (row 0 is all ones); ``system_states[n]`` is the pure system state
-    attached to environment basis state n.
+    n (row 0 is all ones); the pure system state attached to environment
+    basis state n has amplitudes ``c * phases[:, n]``.
     """
 
     weights: np.ndarray      # p_n, nonnegative, sums to 1
     env_basis: np.ndarray    # columns |n(t)>
     phases: np.ndarray       # N x M complex, unimodular
-    system_states: tuple     # M pure-state density matrices, N x N
+    c: np.ndarray            # the model's system amplitudes
+
+    @property
+    def system_states(self):
+        """The M pure system states, as an (M, N, N) stack."""
+        vecs = (self.c[:, None] * self.phases).T
+        return vecs[:, :, None] * vecs[:, None, :].conj()
 
     def reconstruct(self):
+        """sigma_sep = (B p) B^dag with B[(i, e), n] = c_i phases[i, n]
+        env_basis[e, n]: column n of B is the product state of term n."""
         n, m = self.phases.shape
-        sigma = np.zeros((n * m, n * m), dtype=np.complex128)
-        for idx in range(m):
-            ket = self.env_basis[:, idx]
-            env = np.outer(ket, ket.conj())
-            sigma += self.weights[idx] * np.kron(self.system_states[idx], env)
-        return sigma
+        b = ((self.c[:, None] * self.phases)[:, None, :]
+             * self.env_basis[None, :, :]).reshape(n * m, m)
+        return (b * self.weights) @ b.conj().T
 
 
 def _relative_propagators(props):
@@ -123,19 +126,6 @@ def _cross_norms(u, pairs):
     prod = prod.reshape(k, m, k, m)
     js, ls = np.array(pairs).T - 1
     return np.linalg.norm(prod[js, :, ls] - prod[ls, :, js], axis=(-2, -1))
-
-
-def qubit_like_norms(model, props):
-    """Family-1 norms: (j, ||[R(0), w_0^dag w_j]||_F) for j = 1..N-1."""
-    norms = commutator_norm(model.r0, _relative_propagators(props))
-    return list(enumerate(norms.tolist(), start=1))
-
-
-def cross_commutation_norms(props):
-    """Family-2 norms: (j, l, ||[W_j0, W_l0]||_F) for 0 < l < j."""
-    pairs = _cross_pairs(len(props.w))
-    norms = _cross_norms(_relative_propagators(props), pairs)
-    return [(j, l, norm) for (j, l), norm in zip(pairs, norms.tolist())]
 
 
 def decide_from_props(model, props, tol_comm=DEFAULT_TOL_COMM):
@@ -192,18 +182,12 @@ def build_decomposition(model, props, report):
     weights = weights / weights.sum()
 
     phases = np.ones((n, m), dtype=np.complex128)
-    for j in range(1, n):
-        d = diagonals[j]
-        phases[j] = d / np.abs(d)
-
-    states = []
-    for idx in range(m):
-        vec = model.c * phases[:, idx]
-        states.append(np.outer(vec, vec.conj()))
+    d = np.stack(diagonals[1:])
+    phases[1:] = d / np.abs(d)
 
     return SeparableDecomposition(
         weights=weights,
         env_basis=basis,
         phases=phases,
-        system_states=tuple(states),
+        c=model.c,
     )

@@ -13,7 +13,6 @@ __all__ = [
     "pair_operator",
     "conditional_block",
     "joint_state",
-    "decoherence_factors",
 ]
 
 
@@ -86,16 +85,3 @@ def joint_state(model, props, out=None):
     sigma = backend.assemble_joint(model.c, props.w, model.r0, out=out)
     return JointState(t=props.t, sigma=sigma, dims=(model.n, model.m))
 
-
-def decoherence_factors(model, props):
-    """NxN matrix of reduced coherence factors, entry (k, l) = tr[w_l^dag w_k R(0)].
-
-    Diagonal entries are exactly 1; moduli never exceed 1.
-    """
-    n = model.n
-    wr = [wk @ model.r0 for wk in props.w]
-    d = np.empty((n, n), dtype=np.complex128)
-    for k in range(n):
-        for l in range(n):
-            d[k, l] = np.trace(props.w[l].conj().T @ wr[k])
-    return d

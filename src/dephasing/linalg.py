@@ -18,7 +18,6 @@ __all__ = [
     "NotCommutingError",
     "frob",
     "hermitian_eig",
-    "unitary_exp_hermitian",
     "partial_transpose",
     "commutator",
     "commutator_norm",
@@ -96,13 +95,6 @@ def hermitian_eig(a):
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
     return vals, vecs
-
-
-def unitary_exp_hermitian(h, theta):
-    """exp(-i * theta * H) for Hermitian H, via exact eigendecomposition."""
-    vals, vecs = hermitian_eig(h)
-    phases = np.exp(-1j * theta * vals)
-    return (vecs * phases) @ vecs.conj().T
 
 
 def partial_transpose(rho, dim_s, dim_e, subsystem="environment", out=None):

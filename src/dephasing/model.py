@@ -112,6 +112,9 @@ def validate(model):
         errors.append(("n", f"system dimension must be >= 2, got {model.n}"))
     if model.m < 1:
         errors.append(("m", f"environment dimension must be >= 1, got {model.m}"))
+    if errors:
+        # the array checks below assume valid dimensions
+        raise ValidationError(errors)
 
     c = np.asarray(model.c)
     if c.shape != (model.n,):

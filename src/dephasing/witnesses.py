@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .criteria import qubit_like_norms
+from .criteria import decide_from_props
 from .evolution import conditional_block, joint_state, pair_operator
 from .linalg import hermitian_eig, partial_transpose, simultaneous_diagonalize
 from .tolerances import (
@@ -37,7 +37,6 @@ __all__ = [
     "MinorEvaluation",
     "WitnessScan",
     "pt_spectrum",
-    "negativity",
     "minor_D",
     "minor_X",
     "minor_Y",
@@ -77,8 +76,7 @@ class WitnessScan:
 
     @property
     def negativity(self):
-        neg = self.pt_eigenvalues[self.pt_eigenvalues < 0]
-        return float(-neg.sum())
+        return _negativity(self.pt_eigenvalues)
 
     def to_dict(self):
         return {
@@ -102,19 +100,9 @@ def pt_spectrum(state, subsystem="system", out=None):
     return np.linalg.eigvalsh(pt)
 
 
-def negativity(state):
-    """Sum of |negative eigenvalues| of the partial transpose."""
-    eigs = pt_spectrum(state)
+def _negativity(eigs):
+    """Sum of |negative eigenvalues| of a partial-transpose spectrum."""
     return float(-eigs[eigs < 0].sum())
-
-
-def _require_family1(model, props, tol):
-    norms = [norm for _, norm in qubit_like_norms(model, props)]
-    worst = max(norms, default=0.0)
-    if worst > tol:
-        raise PreconditionFailedError(
-            f"qubit-like norms must vanish for this minor class "
-            f"(max {worst:.3e} > {tol:.3e})")
 
 
 def _x_basis(model, props, i, j, tol):
@@ -139,7 +127,7 @@ def _x_grids(model, props, i, j, l, basis, p, u):
     return x, closed, dets
 
 
-def minor_X(model, props, i, j, l, k, q, tol=DEFAULT_TOL_COMM):
+def minor_X(model, props, i, j, l, k, q):
     """3x3 principal minor for system triple (i, j, l), environment pair (k, q).
 
     k and q label the common eigenbasis of R_00(t) and W_ji(t).  Only
@@ -148,8 +136,12 @@ def minor_X(model, props, i, j, l, k, q, tol=DEFAULT_TOL_COMM):
     """
     if len({i, j, l}) != 3:
         raise ValueError("system indices must be distinct")
-    _require_family1(model, props, tol)
-    basis, p, u = _x_basis(model, props, i, j, tol)
+    worst = decide_from_props(model, props).max_qubit_like
+    if worst > DEFAULT_TOL_COMM:
+        raise PreconditionFailedError(
+            f"qubit-like norms must vanish for this minor class "
+            f"(max {worst:.3e} > {DEFAULT_TOL_COMM:.3e})")
+    basis, p, u = _x_basis(model, props, i, j, DEFAULT_TOL_COMM)
     x, closed, dets = _x_grids(model, props, i, j, l, basis, p, u)
     if abs(x[k, q]) > PRECONDITION_TOL and abs(p[k] - p[q]) > PRECONDITION_TOL:
         raise PreconditionFailedError(
@@ -163,11 +155,11 @@ def minor_X(model, props, i, j, l, k, q, tol=DEFAULT_TOL_COMM):
     )
 
 
-def minor_D(model, props, k, q, tol=DEFAULT_TOL_COMM):
+def minor_D(model, props, k, q):
     """The qutrit two-index minor: the X class at system triple (0, 1, 2)."""
     if model.n != 3:
         raise ValueError(f"D-class minors require a qutrit, got N = {model.n}")
-    ev = minor_X(model, props, 0, 1, 2, k, q, tol=tol)
+    ev = minor_X(model, props, 0, 1, 2, k, q)
     return MinorEvaluation(
         class_tag="D",
         indices=(k, q),

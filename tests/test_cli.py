@@ -181,6 +181,15 @@ class TestExample:
         assert "joint state sigma (times 6):" in out
         assert "partial transpose over the environment (times 6):" in out
 
+    def test_fixture_evaluated_once(self, monkeypatch, capsys):
+        calls = []
+        real = cli.propagators
+        monkeypatch.setattr(cli, "propagators",
+                            lambda *a: calls.append(a) or real(*a))
+        assert main(["example"]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
 
 class TestRandom:
     def test_writes_models_and_summary(self, tmp_path, capsys):
@@ -207,6 +216,23 @@ class TestRandom:
         for fname in ("model_0000.json", "model_0001.json", "summary.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
         capsys.readouterr()
+
+    def test_zero_environment_dimension_is_an_error(self, tmp_path, capsys):
+        code = main(["random", "--seed", "1", "--count", "2", "--n", "3",
+                     "--m", "0", "--out", str(tmp_path / "d")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [e["path"] for e in json.loads(err)["errors"]] == ["m"]
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_rejects_nonpositive_count(self, tmp_path, capsys, count):
+        assert main(["random", "--seed", "1", "--count", count,
+                     "--out", str(tmp_path / "d")]) == 1
+        out, err = capsys.readouterr()
+        assert "wrote" not in out
+        assert "Traceback" not in err
+        assert "count must be >= 1" in err
 
     def test_generated_models_load_back(self, tmp_path, capsys):
         out = tmp_path / "ensemble"

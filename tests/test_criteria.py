@@ -6,10 +6,8 @@ import pytest
 from dephasing.criteria import (
     NotSeparableError,
     build_decomposition,
-    cross_commutation_norms,
     decide,
     decide_from_props,
-    qubit_like_norms,
 )
 from dephasing.evolution import conditional_block, joint_state, propagators
 from dephasing.linalg import commutator_norm, frob
@@ -21,7 +19,7 @@ from dephasing.model import (
     random_instance,
     validate,
 )
-from util import rand_unitary
+from util import rand_unitary, reconstruct_loop
 
 
 def commuting_model(seed=13, n=4, m=3):
@@ -37,13 +35,13 @@ def generic_model(seed=23, n=3, m=3):
 class TestQubitLikeNorms:
     def test_mixed_environment_all_zero(self):
         m = mixed_qutrit_example()
-        norms = qubit_like_norms(m, propagators(m, 1.0))
+        norms = decide_from_props(m, propagators(m, 1.0)).qubit_like
         assert [j for j, _ in norms] == [1, 2]
         assert all(norm == 0.0 for _, norm in norms)
 
     def test_time_zero_all_zero(self):
         m = generic_model()
-        norms = qubit_like_norms(m, propagators(m, 0.0))
+        norms = decide_from_props(m, propagators(m, 0.0)).qubit_like
         assert all(norm < 1e-14 for _, norm in norms)
 
     def test_equivalent_to_block_difference(self):
@@ -51,7 +49,7 @@ class TestQubitLikeNorms:
         m = generic_model(seed=31)
         props = propagators(m, 1.0)
         r00 = conditional_block(m, props, 0, 0)
-        for j, norm in qubit_like_norms(m, props):
+        for j, norm in decide_from_props(m, props).qubit_like:
             diff = frob(conditional_block(m, props, j, j) - r00)
             assert (norm < 1e-9) == (diff < 1e-9)
             assert norm > 1e-3 and diff > 1e-3  # generic instance: both fail
@@ -59,7 +57,7 @@ class TestQubitLikeNorms:
         cm = commuting_model(seed=37, n=3, m=3)
         cprops = propagators(cm, 1.0)
         c00 = conditional_block(cm, cprops, 0, 0)
-        for j, norm in qubit_like_norms(cm, cprops):
+        for j, norm in decide_from_props(cm, cprops).qubit_like:
             diff = frob(conditional_block(cm, cprops, j, j) - c00)
             assert norm < 1e-9 and diff < 1e-9
 
@@ -68,11 +66,11 @@ class TestCrossNorms:
     def test_qubit_has_no_cross_conditions(self):
         spec = EnsembleSpec(seed=3, count=1, n=2, m=3, family=Family.GENERIC)
         m = validate(random_instance(spec, 0))
-        assert cross_commutation_norms(propagators(m, 1.0)) == []
+        assert decide_from_props(m, propagators(m, 1.0)).cross == ()
 
     def test_fixture_single_record(self):
         m = mixed_qutrit_example()
-        records = cross_commutation_norms(propagators(m, 1.0))
+        records = decide_from_props(m, propagators(m, 1.0)).cross
         assert len(records) == 1
         j, l, norm = records[0]
         assert (j, l) == (2, 1)
@@ -80,16 +78,16 @@ class TestCrossNorms:
 
     def test_commuting_family_vanishes(self):
         m = commuting_model()
-        records = cross_commutation_norms(propagators(m, 1.3))
+        records = decide_from_props(m, propagators(m, 1.3)).cross
         assert len(records) == 3  # (N-1)(N-2)/2 for N = 4
         assert all(norm < 1e-9 for _, _, norm in records)
 
     def test_record_count(self):
         for n in (2, 3, 4, 5):
             m = generic_model(seed=n, n=n, m=2)
-            props = propagators(m, 0.5)
-            assert len(cross_commutation_norms(props)) == (n - 1) * (n - 2) // 2
-            assert len(qubit_like_norms(m, props)) == n - 1
+            report = decide_from_props(m, propagators(m, 0.5))
+            assert len(report.cross) == (n - 1) * (n - 2) // 2
+            assert len(report.qubit_like) == n - 1
 
     def test_stacked_norms_match_pair_by_pair(self):
         m = generic_model(seed=3, n=5, m=4)
@@ -99,8 +97,8 @@ class TestCrossNorms:
         cross = [(j, l, commutator_norm(pair[j], pair[l]))
                  for j in range(2, 5) for l in range(1, j)]
         qubit = [(j, commutator_norm(m.r0, w[0].conj().T @ w[j])) for j in range(1, 5)]
-        for got, want in ((cross_commutation_norms(props), cross),
-                          (qubit_like_norms(m, props), qubit)):
+        report = decide_from_props(m, props)
+        for got, want in ((report.cross, cross), (report.qubit_like, qubit)):
             assert [rec[:-1] for rec in got] == [rec[:-1] for rec in want]
             assert max(abs(a[-1] - b[-1]) for a, b in zip(got, want)) < 1e-13
 
@@ -120,12 +118,9 @@ class TestCrossNorms:
             pair = [w[j] @ w[0].conj().T for j in range(n)]
             want = [(j, l, commutator_norm(pair[j], pair[l]))
                     for j in range(2, n) for l in range(1, j)]
-            got = cross_commutation_norms(props)
+            got = decide_from_props(mdl, props).cross
             assert [rec[:2] for rec in got] == [rec[:2] for rec in want]
             assert all(abs(a[2] - b[2]) < 1e-14 for a, b in zip(got, want))
-            report = decide_from_props(mdl, props)
-            assert report.cross == tuple(got)
-            assert report.qubit_like == tuple(qubit_like_norms(mdl, props))
 
 
 class TestDecide:
@@ -255,6 +250,19 @@ class TestDecomposition:
             dec = build_decomposition(m, props, report)
             sigma = joint_state(m, props).sigma
             assert frob(dec.reconstruct() - sigma) < 1e-8 * max(1, frob(sigma))
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 8), (6, 16), (3, 64)])
+    def test_one_product_matches_kron_loop(self, n, m):
+        mdl = commuting_model(seed=n * 100 + m, n=n, m=m)
+        for t in (0.0, 0.8, 2.9):
+            props = propagators(mdl, t)
+            dec = build_decomposition(mdl, props, decide_from_props(mdl, props))
+            want = reconstruct_loop(mdl.c, dec.weights, dec.env_basis,
+                                    dec.phases)
+            assert frob(dec.reconstruct() - want) < 1e-13
+            for idx, rho in enumerate(dec.system_states):
+                vec = mdl.c * dec.phases[:, idx]
+                assert np.array_equal(rho, np.outer(vec, vec.conj()))
 
     def test_states_are_pure_and_normalized(self):
         m = commuting_model(seed=29, n=3, m=3)

@@ -11,8 +11,9 @@ from dephasing.linalg import (
     hermitian_eig,
     partial_transpose,
     simultaneous_diagonalize,
-    unitary_exp_hermitian,
 )
+from dephasing.evolution import propagators
+from dephasing.model import DephasingModel, validate
 from util import eig_bisection_oracle, expm_taylor, rand_hermitian, rand_unitary
 
 SIGMA_Y_LIKE = np.array([[0, 1j], [-1j, 0]], dtype=np.complex128)
@@ -55,31 +56,45 @@ class TestHermitianEig:
         assert np.max(np.abs(vals - vals_rot)) < 1e-9
 
 
+def exp_of(h, theta):
+    """exp(-i theta H) as the package computes it: the propagator w_1 of a
+    qubit model with H_E = H and V_1 = 0 (V_0 = -H, so w_0 = 1)."""
+    m = h.shape[0]
+    model = validate(DephasingModel(
+        n=2, m=m, c=np.array([1, 1], dtype=complex) / np.sqrt(2),
+        r0=np.eye(m, dtype=complex) / m, h_env=h,
+        v=(-h, np.zeros((m, m), dtype=complex))))
+    return propagators(model, theta).w[1]
+
+
 class TestUnitaryExp:
+    """``propagators`` is the package's matrix exponential."""
+
     def test_zero_generator(self):
-        assert np.allclose(unitary_exp_hermitian(np.zeros((3, 3)), 2.7), np.eye(3))
+        assert np.allclose(exp_of(np.zeros((3, 3), dtype=complex), 2.7),
+                           np.eye(3))
 
     def test_diagonal_phases(self):
-        out = unitary_exp_hermitian(np.diag([np.pi, 0.0]).astype(complex), 1.0)
+        out = exp_of(np.diag([np.pi, 0.0]).astype(complex), 1.0)
         assert np.max(np.abs(out - np.diag([-1.0, 1.0]))) < 1e-12
 
     def test_matches_taylor_oracle(self):
         rng = np.random.default_rng(3)
         h = rand_hermitian(rng, 6)
-        out = unitary_exp_hermitian(h, 0.37)
+        out = exp_of(h, 0.37)
         assert frob(out - expm_taylor(-1j * 0.37 * h)) < 1e-9
 
     def test_result_unitary(self):
         rng = np.random.default_rng(4)
         h = rand_hermitian(rng, 7)
-        u = unitary_exp_hermitian(h, 1.9)
+        u = exp_of(h, 1.9)
         assert frob(u @ u.conj().T - np.eye(7)) <= 1e-11 * 7
 
     def test_group_property(self):
         rng = np.random.default_rng(5)
         h = rand_hermitian(rng, 5)
-        u = unitary_exp_hermitian(h, 0.4) @ unitary_exp_hermitian(h, 1.1)
-        assert frob(u - unitary_exp_hermitian(h, 1.5)) < 1e-10
+        u = exp_of(h, 0.4) @ exp_of(h, 1.1)
+        assert frob(u - exp_of(h, 1.5)) < 1e-10
 
 
 class TestPartialTranspose:

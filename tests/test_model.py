@@ -91,6 +91,14 @@ class TestValidate:
             validate(DephasingModel(n=3, m=2, c=ex.c, r0=ex.r0, w=tuple(w)))
         assert any("w[2]" == path for path, _ in exc.value.errors)
 
+    def test_invalid_dimension_stops_before_matrix_checks(self):
+        empty = np.zeros((0, 0), dtype=complex)
+        bad = DephasingModel(n=3, m=0, c=np.full(3, 1 / np.sqrt(3), complex),
+                             r0=empty, h_env=empty, v=(empty,) * 3)
+        with pytest.raises(ValidationError) as exc:
+            validate(bad)
+        assert [path for path, _ in exc.value.errors] == ["m"]
+
     def test_error_report_is_json_with_paths(self):
         m = make_qutrit_model()
         try:

@@ -19,7 +19,6 @@ from dephasing.witnesses import (
     minor_X,
     minor_Y,
     minor_Ytilde,
-    negativity,
     pt_spectrum,
     witness_scan,
 )
@@ -68,7 +67,8 @@ class TestPtSpectrum:
         m, props = fixture_props()
         eigs = pt_spectrum(joint_state(m, props), "environment")
         assert np.max(np.abs(eigs - FIXTURE_PT_EIGS)) < 1e-12
-        assert negativity(joint_state(m, props)) == pytest.approx(1 / 3)
+        eigs = pt_spectrum(joint_state(m, props))
+        assert witnesses._negativity(eigs) == pytest.approx(1 / 3)
 
     def test_product_state_spectrum(self):
         m = instance(Family.GENERIC, seed=3)

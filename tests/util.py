@@ -284,3 +284,27 @@ def bordered_minors_loop(ci, cj, p_full, y_full, i, j, zero_weight_cut,
             table[(i, j, kept[n_pos], kept[r_pos])] = (
                 "Ytilde", float(closed), float(np.linalg.det(bordered).real))
     return table
+
+
+def reconstruct_loop(c, weights, env_basis, phases):
+    """Reference separable state, one term at a time: the sum over n of
+    p_n (psi_n psi_n^dag) (x) |n><n|, with psi_n = c * phases[:, n]."""
+    n, m = phases.shape
+    sigma = np.zeros((n * m, n * m), dtype=np.complex128)
+    for idx in range(m):
+        vec = c * phases[:, idx]
+        ket = env_basis[:, idx]
+        sigma += weights[idx] * np.kron(np.outer(vec, vec.conj()),
+                                        np.outer(ket, ket.conj()))
+    return sigma
+
+
+def decoherence_factors(model, props):
+    """NxN matrix of reduced coherence factors, entry (k, l) =
+    tr[w_l^dag w_k R(0)], one trace at a time."""
+    n = model.n
+    d = np.empty((n, n), dtype=np.complex128)
+    for k in range(n):
+        for l in range(n):
+            d[k, l] = np.trace(props.w[l].conj().T @ props.w[k] @ model.r0)
+    return d
