@@ -9,12 +9,13 @@ grid), ``example`` (built-in self-checking qutrit fixture), ``random``
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .criteria import DEFAULT_TOL_COMM, decide_from_props
+from .criteria import DEFAULT_TOL_COMM, _condition_norms, _report, _verdict
 from .evolution import joint_state, propagators
 from .linalg import LinalgError, partial_transpose
 from .model import (
@@ -47,13 +48,27 @@ def _buffers(n, m):
     return tuple(np.empty((n * m, n * m), np.complex128) for _ in range(2))
 
 
-def _evaluate(model, t, tol_comm, buffers):
+def _require_finite(option, value):
+    if not math.isfinite(value):
+        raise ValueError(f"{option} must be finite, got {value!r}")
+
+
+def _evaluate(model, t, buffers):
+    """One time step of every command: the qubit-like and cross norm arrays
+    and the ascending partial-transpose spectrum."""
     sigma_out, pt_out = buffers
     props = propagators(model, t)
-    report = decide_from_props(model, props, tol_comm=tol_comm)
+    norms = _condition_norms(model.r0, props.w)
     eigs = pt_spectrum(joint_state(model, props, out=sigma_out), "system",
                        out=pt_out)
-    return report, eigs, _negativity(eigs)
+    return norms, eigs
+
+
+def _evaluate_report(model, t, tol_comm, buffers):
+    """``_evaluate`` plus the step's CriterionReport, for the commands that
+    print one."""
+    norms, eigs = _evaluate(model, t, buffers)
+    return _report(t, *norms, tol_comm), eigs, _negativity(eigs)
 
 
 def _print_report(report, eigs, neg, fmt):
@@ -80,18 +95,23 @@ def _print_report(report, eigs, neg, fmt):
 
 
 def cmd_check(args):
+    _require_finite("--t", args.t)
     model = validate(load_model(args.model))
-    report, eigs, neg = _evaluate(model, args.t, args.tol_comm,
-                                  _buffers(model.n, model.m))
+    report, eigs, neg = _evaluate_report(model, args.t, args.tol_comm,
+                                         _buffers(model.n, model.m))
     _print_report(report, eigs, neg, args.format)
     return EXIT_SEPARABLE if report.separable else EXIT_ENTANGLED
 
 
 def cmd_sweep(args):
+    _require_finite("--t-start", args.t_start)
+    _require_finite("--t-end", args.t_end)
     if args.steps < 2:
         raise ValueError("steps must be >= 2")
     if not args.t_start < args.t_end:
         raise ValueError("t-start must be < t-end")
+    if not math.isfinite(args.t_end - args.t_start):
+        raise ValueError("t-end - t-start must be finite")
     model = validate(load_model(args.model))
     grid = np.linspace(args.t_start, args.t_end, args.steps)
     buffers = _buffers(model.n, model.m)
@@ -99,10 +119,10 @@ def cmd_sweep(args):
     numbers[:, 0] = grid
     verdicts = []
     for step, t in enumerate(grid.tolist()):
-        report, eigs, neg = _evaluate(model, t, args.tol_comm, buffers)
-        numbers[step, 1:] = (report.max_qubit_like, report.max_cross,
-                             eigs[0], neg)
-        verdicts.append(report.verdict)
+        (qubit_like, cross), eigs = _evaluate(model, t, buffers)
+        numbers[step, 1:] = (qubit_like.max(initial=0.0),
+                             cross.max(initial=0.0), eigs[0], _negativity(eigs))
+        verdicts.append(_verdict(qubit_like, cross, args.tol_comm)[0])
     rows = [[f"{x:.17g}" for x in row] + [verdict]
             for row, verdict in zip(numbers.tolist(), verdicts)]
     with open(args.out, "w", newline="") as fh:
@@ -132,7 +152,7 @@ def _format_matrix(a):
 def cmd_example(args):
     model = validate(mixed_qutrit_example())
     buffers = _buffers(model.n, model.m)
-    report, eigs, neg = _evaluate(model, 1.0, args.tol_comm, buffers)
+    report, eigs, _ = _evaluate_report(model, 1.0, args.tol_comm, buffers)
     sigma = buffers[0]   # _evaluate assembled the joint state here
     print("joint state sigma (times 6):")
     print(_format_matrix(6 * sigma))
@@ -162,18 +182,22 @@ def cmd_example(args):
 def cmd_random(args):
     if args.count < 1:
         raise ValueError("count must be >= 1")
+    _require_finite("--t", args.t)
     family = Family(args.family)
     spec = EnsembleSpec(seed=args.seed, count=args.count,
                         n=args.n, m=args.m, family=family)
+    # an invalid --n or --m ends here, before any buffer or directory
+    first = validate(random_instance(spec, 0))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     buffers = _buffers(spec.n, spec.m)
     for index in range(spec.count):
-        model = validate(random_instance(spec, index))
+        model = first if index == 0 else validate(random_instance(spec, index))
         path = out_dir / f"model_{index:04d}.json"
         save_model(model, path)
-        report, eigs, neg = _evaluate(model, args.t, args.tol_comm, buffers)
+        report, eigs, neg = _evaluate_report(model, args.t, args.tol_comm,
+                                             buffers)
         rows.append([
             str(index),
             path.name,

@@ -7,13 +7,14 @@ necessary and sufficient for separability, and in that case the state admits
 an explicit convex decomposition over a common environment eigenbasis.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evolution import conditional_block, pair_operator, propagators
-from .linalg import commutator_norm, simultaneous_diagonalize
+from .linalg import simultaneous_diagonalize
 from .tolerances import DEFAULT_TOL_COMM
 
 __all__ = [
@@ -96,66 +97,75 @@ class SeparableDecomposition:
         return (b * self.weights) @ b.conj().T
 
 
-def _relative_propagators(props):
-    """U_j = w_0^dag w_j for j = 1..N-1, as an (N-1, M, M) stack.
+@functools.cache
+def _cross_index(k):
+    """The cross conditions among k = N - 1 relative propagators as two
+    read-only zero-based index arrays (j - 1, l - 1), 0 < l < j < N, in
+    report order; cached, since every time of a sweep asks for the same k."""
+    js, ls = np.tril_indices(k, -1)
+    js.flags.writeable = ls.flags.writeable = False
+    return js, ls
 
-    Both families are commutators of these: the qubit-like ones with R(0),
-    the cross ones among themselves, since W_j0 = w_0 U_j w_0^dag and the
-    Frobenius norm is unitarily invariant, so ||[W_j0, W_l0]|| =
-    ||[U_j, U_l]||.
+
+def _condition_norms(r0, w):
+    """The norms of both condition families from an (N, M, M) propagator
+    stack: ``(qubit_like, cross)``, with ``cross`` in ``_cross_index`` order.
+
+    Both families are commutators of U_j = w_0^dag w_j: the qubit-like ones
+    with R(0), the cross ones among themselves, since W_j0 = w_0 U_j w_0^dag
+    and the Frobenius norm is unitarily invariant, so ||[W_j0, W_l0]|| =
+    ||[U_j, U_l]||.  Every product U_j U_l comes from one ((N-1)M x M)
+    (M x (N-1)M) product of the stack's rows and columns; ``prod[j-1, :,
+    l-1, :]`` is U_j U_l.  The inputs are not checked: w comes from
+    ``propagators`` and r0 from a validated model.
     """
-    w = props.w
-    return w[0].conj().T @ w[1:]
-
-
-def _cross_pairs(n):
-    """The cross conditions (j, l), 0 < l < j < n, in report order."""
-    return [(j, l) for j in range(2, n) for l in range(1, j)]
-
-
-def _cross_norms(u, pairs):
-    """||[U_j, U_l]||_F for every (j, l) in ``pairs``.
-
-    Every product U_j U_l comes from one ((N-1)M x M) (M x (N-1)M) product
-    of the stack's rows and columns; ``prod[j-1, :, l-1, :]`` is U_j U_l.
-    """
+    u = w[0].conj().T @ w[1:]
     k, m = u.shape[0], u.shape[-1]
-    if not pairs:
-        return np.zeros(0)
     prod = (u.reshape(k * m, m) @ u.transpose(1, 0, 2).reshape(m, k * m))
     prod = prod.reshape(k, m, k, m)
-    js, ls = np.array(pairs).T - 1
-    return np.linalg.norm(prod[js, :, ls] - prod[ls, :, js], axis=(-2, -1))
+    js, ls = _cross_index(k)
+    return (np.linalg.norm(r0 @ u - u @ r0, axis=(-2, -1)),
+            np.linalg.norm(prod[js, :, ls] - prod[ls, :, js], axis=(-2, -1)))
 
 
-def decide_from_props(model, props, tol_comm=DEFAULT_TOL_COMM):
-    """Render the verdict from already-built propagators.
+def _verdict(qubit_like, cross, tol_comm):
+    """The verdict rule: a condition fails when its norm exceeds tol_comm,
+    and one failed condition makes the state entangled.
 
-    U_j = w_0^dag w_j is formed once and serves both families; the records,
-    the failed conditions and the margin come from the two norm arrays.
+    Returns the verdict and the failed masks of both families.
     """
-    u = _relative_propagators(props)
-    pairs = _cross_pairs(len(props.w))
-    norms1 = commutator_norm(model.r0, u)
-    norms2 = _cross_norms(u, pairs)
+    failed1, failed2 = qubit_like > tol_comm, cross > tol_comm
+    entangled = failed1.any() or failed2.any()
+    return "entangled" if entangled else "separable", failed1, failed2
 
+
+def _report(t, qubit_like, cross, tol_comm):
+    """The CriterionReport at time t from the two norm arrays of
+    ``_condition_norms``: the records, the failed conditions and the margin."""
+    verdict, failed1, failed2 = _verdict(qubit_like, cross, tol_comm)
+    js, ls = _cross_index(len(qubit_like))
+    pairs = list(zip((js + 1).tolist(), (ls + 1).tolist()))
+    witnesses = ([f"qubit_like[{j}]"
+                  for j, failed in enumerate(failed1.tolist(), start=1) if failed]
+                 + [f"cross[{j},{l}]"
+                    for (j, l), failed in zip(pairs, failed2.tolist()) if failed])
     # both families share one threshold: a validated R(0) has ||R(0)||_F <= 1
-    family1 = tuple(enumerate(norms1.tolist(), start=1))
-    family2 = tuple((j, l, norm) for (j, l), norm in zip(pairs, norms2.tolist()))
-    witnesses = ([f"qubit_like[{j}]" for j, norm in family1 if norm > tol_comm]
-                 + [f"cross[{j},{l}]" for j, l, norm in family2
-                    if norm > tol_comm])
-    distances = np.abs(np.concatenate([norms1, norms2]) - tol_comm)
+    distances = np.abs(np.concatenate([qubit_like, cross]) - tol_comm)
 
     return CriterionReport(
-        t=props.t,
-        qubit_like=family1,
-        cross=family2,
-        verdict="separable" if not witnesses else "entangled",
+        t=t,
+        qubit_like=tuple(enumerate(qubit_like.tolist(), start=1)),
+        cross=tuple((j, l, norm) for (j, l), norm in zip(pairs, cross.tolist())),
+        verdict=verdict,
         margin=float(distances.min()) if distances.size else float("inf"),
         witnesses=tuple(witnesses),
         tol_comm=tol_comm,
     )
+
+
+def decide_from_props(model, props, tol_comm=DEFAULT_TOL_COMM):
+    """Render the verdict from already-built propagators."""
+    return _report(props.t, *_condition_norms(model.r0, props.w), tol_comm)
 
 
 def decide(model, t, tol_comm=DEFAULT_TOL_COMM):

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
+from .linalg import LinalgError
 
 __all__ = [
     "ConditionalPropagators",
@@ -48,13 +49,21 @@ def propagators(model, t):
     Every level's w_k(t) = V_k diag(e^{-i lambda_k t}) V_k^dag comes from
     one stacked product over the model's cached eigendecompositions.
 
+    A t at which some t lambda_k is not finite (t itself infinite or NaN,
+    or so large that the product overflows) raises ``LinalgError``.
+
     Propagator-mode models are snapshots at a single instant; their stored
     unitaries are returned for every t.
     """
     if model.mode == "propagator":
         return ConditionalPropagators(t=float(t), w=np.stack(model.w))
     vals, vecs = model.level_spectra
-    phased = vecs * np.exp(-1j * t * vals)[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = -1j * t * vals
+    if not np.isfinite(phase).all():
+        raise LinalgError(f"t = {t!r}: t * lambda is not finite for some "
+                          f"eigenvalue lambda of H_E + V_k")
+    phased = vecs * np.exp(phase)[:, None, :]
     return ConditionalPropagators(
         t=float(t), w=phased @ vecs.conj().transpose(0, 2, 1))
 

@@ -109,6 +109,13 @@ def partial_transpose(rho, dim_s, dim_e, subsystem="environment", out=None):
     if rho.shape[0] != dim_s * dim_e:
         raise DimensionMismatchError(
             f"rho has dim {rho.shape[0]}, expected {dim_s} * {dim_e}")
+    return _partial_transpose(rho, dim_s, dim_e, subsystem, out)
+
+
+def _partial_transpose(rho, dim_s, dim_e, subsystem, out):
+    """``partial_transpose`` without the scan of rho: rho must already be a
+    finite complex128 (dim_s dim_e)-square array, such as a joint state's
+    sigma."""
     if subsystem not in ("system", "environment"):
         raise ValueError(f"unknown subsystem {subsystem!r}")
     arr = rho.reshape(dim_s, dim_e, dim_s, dim_e)

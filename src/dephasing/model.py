@@ -104,18 +104,23 @@ def _check_hermitian(errors, path, a, what=""):
     return True
 
 
+def _check_dimensions(n, m):
+    """Raise ValidationError, paths ``n`` and ``m``, unless N >= 2 and M >= 1."""
+    errors = []
+    if n < 2:
+        errors.append(("n", f"system dimension must be >= 2, got {n}"))
+    if m < 1:
+        errors.append(("m", f"environment dimension must be >= 1, got {m}"))
+    if errors:
+        raise ValidationError(errors)
+
+
 def validate(model):
     """Certify all model invariants; raises ValidationError listing every
     violation with its field path.  Returns the model unchanged on success."""
+    # the array checks below assume valid dimensions
+    _check_dimensions(model.n, model.m)
     errors = []
-    if model.n < 2:
-        errors.append(("n", f"system dimension must be >= 2, got {model.n}"))
-    if model.m < 1:
-        errors.append(("m", f"environment dimension must be >= 1, got {model.m}"))
-    if errors:
-        # the array checks below assume valid dimensions
-        raise ValidationError(errors)
-
     c = np.asarray(model.c)
     if c.shape != (model.n,):
         errors.append(("c", f"expected {model.n} amplitudes, got shape {c.shape}"))
@@ -323,11 +328,14 @@ def _random_density(rng, m):
 
 def random_instance(spec, index):
     """Deterministic instance ``index`` of an ensemble; identical
-    (spec, index) pairs reproduce bit-for-bit identical models."""
+    (spec, index) pairs reproduce bit-for-bit identical models.  Invalid
+    dimensions raise ``validate``'s ValidationError before any array is
+    drawn."""
     if not 0 <= index < spec.count:
         raise IndexError(f"index {index} out of range for count {spec.count}")
-    rng = np.random.default_rng([int(spec.seed) & (2 ** 64 - 1), index])
     n, m = spec.n, spec.m
+    _check_dimensions(n, m)
+    rng = np.random.default_rng([int(spec.seed) & (2 ** 64 - 1), index])
     family = Family(spec.family)
 
     c = rng.standard_normal(n) + 1j * rng.standard_normal(n)

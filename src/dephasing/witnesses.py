@@ -23,7 +23,13 @@ import numpy as np
 from . import backend
 from .criteria import decide_from_props
 from .evolution import conditional_block, joint_state, pair_operator
-from .linalg import hermitian_eig, partial_transpose, simultaneous_diagonalize
+from .linalg import (
+    LinalgError,
+    NoConvergenceError,
+    _partial_transpose,
+    hermitian_eig,
+    simultaneous_diagonalize,
+)
 from .tolerances import (
     DECOUPLE_CUT,
     DEFAULT_TOL_COMM,
@@ -93,11 +99,19 @@ def pt_spectrum(state, subsystem="system", out=None):
     """Ascending eigenvalues of the partial transpose of the joint state.
 
     With ``out`` (a C-contiguous complex128 (NM, NM) array) the partial
-    transpose is written there instead of into a fresh array.
+    transpose is written there instead of into a fresh array.  sigma is not
+    scanned for finiteness, since ``joint_state`` builds it from unitaries
+    and a validated model; a non-finite spectrum raises ``LinalgError``.
     """
     n, m = state.dims
-    pt = partial_transpose(state.sigma, n, m, subsystem, out=out)
-    return np.linalg.eigvalsh(pt)
+    pt = _partial_transpose(state.sigma, n, m, subsystem, out)
+    try:
+        eigs = np.linalg.eigvalsh(pt)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(str(exc)) from exc
+    if not np.isfinite(eigs).all():
+        raise LinalgError("partial-transpose spectrum has non-finite entries")
+    return eigs
 
 
 def _negativity(eigs):

@@ -225,6 +225,19 @@ class TestRandom:
         assert "Traceback" not in err
         assert [e["path"] for e in json.loads(err)["errors"]] == ["m"]
 
+    @pytest.mark.parametrize("option,value,path", [
+        ("--m", "-1", "m"), ("--n", "-1", "n"), ("--m", "0", "m"),
+        ("--n", "1", "n"),
+    ], ids=["m-negative", "n-negative", "m-zero", "n-one"])
+    def test_invalid_dimension_is_reported_before_any_output(
+            self, tmp_path, capsys, option, value, path):
+        out = tmp_path / "d"
+        assert main(["random", "--seed", "1", "--count", "2",
+                     f"{option}={value}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert [e["path"] for e in json.loads(err)["errors"]] == [path]
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_rejects_nonpositive_count(self, tmp_path, capsys, count):
         assert main(["random", "--seed", "1", "--count", count,
@@ -241,3 +254,59 @@ class TestRandom:
         assert main(["check", "--model", str(out / "model_0000.json"),
                      "--t", "0.0"]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNonFiniteTimes:
+    """A non-finite time is an error: exit 1 and an ``error:`` line naming the
+    option, with no warning on the way (RuntimeWarning is an error here)."""
+
+    VALUES = ["inf", "-inf", "nan"]
+
+    def error(self, capsys, argv):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "wrote" not in out
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_check(self, separable_path, capsys, value):
+        err = self.error(capsys, ["check", "--model", separable_path,
+                                  f"--t={value}"])
+        assert err.startswith("error: --t must be finite")
+
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("option", ["--t-start", "--t-end"])
+    def test_sweep(self, separable_path, tmp_path, capsys, option, value):
+        bounds = {"--t-start": "0", "--t-end": "1", option: value}
+        out = tmp_path / "sweep.csv"
+        err = self.error(capsys, [
+            "sweep", "--model", separable_path, "--steps", "3",
+            "--out", str(out)] + [f"{k}={v}" for k, v in bounds.items()])
+        assert err.startswith(f"error: {option} must be finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_random(self, tmp_path, capsys, value):
+        out = tmp_path / "d"
+        err = self.error(capsys, ["random", "--seed", "1", "--count", "1",
+                                  f"--t={value}", "--out", str(out)])
+        assert err.startswith("error: --t must be finite")
+        assert not out.exists()
+
+    def test_sweep_width_that_overflows(self, separable_path, tmp_path, capsys):
+        err = self.error(capsys, [
+            "sweep", "--model", separable_path, "--t-start=-1e308",
+            "--t-end=1e308", "--steps", "3", "--out", str(tmp_path / "s.csv")])
+        assert err.startswith("error: t-end - t-start must be finite")
+
+    def test_finite_time_whose_phase_overflows(self, tmp_path, capsys):
+        spec = EnsembleSpec(seed=5, count=1, n=3, m=4, family=Family.GENERIC)
+        mdl = validate(random_instance(spec, 0))
+        assert 1e308 * float(np.abs(mdl.level_spectra[0]).max()) == np.inf
+        path = tmp_path / "generic.json"
+        save_model(mdl, path)
+        err = self.error(capsys, ["check", "--model", str(path),
+                                  "--t", "1e308"])
+        assert err.startswith("error: t = 1e+308: ")

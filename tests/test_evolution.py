@@ -8,7 +8,7 @@ from dephasing.evolution import (
     pair_operator,
     propagators,
 )
-from dephasing.linalg import frob
+from dephasing.linalg import LinalgError, frob
 from dephasing.model import (
     EnsembleSpec,
     Family,
@@ -86,6 +86,20 @@ class TestPropagators:
         for t in np.linspace(0.0, 3.0, 7):
             propagators(generic_model, t)
         assert len(calls) == generic_model.n
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t", [1e308, -1e308, np.inf, -np.inf, np.nan],
+                             ids=["overflow", "-overflow", "inf", "-inf", "nan"])
+    def test_non_finite_phase_is_rejected_before_the_exponential(
+            self, generic_model, t):
+        with pytest.raises(LinalgError, match=r"^t = "):
+            propagators(generic_model, t)
+
+    def test_largest_finite_phase_is_accepted(self, generic_model):
+        vals, _ = generic_model.level_spectra
+        props = propagators(generic_model, 1e300 / np.abs(vals).max())
+        assert np.isfinite(props.w).all()
 
 
 class TestPairOperator:

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from dephasing import cli, linalg, model, witnesses
-from dephasing.model import EnsembleSpec, Family, random_instance, save_model, validate
+from dephasing.criteria import decide_from_props
+from dephasing.evolution import joint_state, propagators
+from dephasing.model import (
+    EnsembleSpec,
+    Family,
+    load_model,
+    random_instance,
+    save_model,
+    validate,
+)
 from util import sweep_reference
 
 CASES = [(Family.GENERIC, 3, 4), (Family.GENERIC, 2, 3), (Family.COMMUTING, 3, 3),
@@ -41,6 +50,31 @@ def test_sweep_matches_per_step_reference(tmp_path, family, n, m):
         else:
             assert rows[0][-1] == "separable"
             assert "entangled" in {row[-1] for row in rows}
+
+
+@pytest.mark.parametrize("family,n,m", [
+    (Family.GENERIC, 3, 4), (Family.COMMUTING, 3, 3), (Family.MIXED, 4, 3),
+    (Family.PURE, 3, 4), (Family.GENERIC, 2, 5), (Family.MIXED, 2, 3),
+], ids=lambda v: getattr(v, "value", v))
+def test_rows_are_bitwise_the_library_results(tmp_path, family, n, m):
+    """Each row is, bit for bit, what decide_from_props and pt_spectrum give
+    at that t: the sweep builds no report, yet must print the same numbers."""
+    spec = EnsembleSpec(seed=7, count=1, n=n, m=m, family=family)
+    path = tmp_path / "model.json"
+    save_model(validate(random_instance(spec, 0)), path)
+    mdl = load_model(path)
+    rows = run_sweep(path, tmp_path / "sweep.csv", steps=21)
+    for row, t in zip(rows, np.linspace(0.0, 3.0, 21).tolist()):
+        props = propagators(mdl, t)
+        report = decide_from_props(mdl, props)
+        eigs = witnesses.pt_spectrum(joint_state(mdl, props))
+        want = [t, report.max_qubit_like, report.max_cross, eigs[0],
+                witnesses._negativity(eigs)]
+        # "%.17g" round-trips a float exactly, so compare the bits
+        assert [float(x).hex() for x in row[:-1]] == [x.hex() for x in want]
+        assert row[-1] == report.verdict
+        if n == 2:
+            assert report.cross == () and float(row[2]) == 0.0
 
 
 def test_eigendecompositions_do_not_grow_with_steps(tmp_path, monkeypatch):

@@ -3,7 +3,8 @@ import pytest
 
 from dephasing import witnesses
 from dephasing.criteria import decide_from_props
-from dephasing.evolution import joint_state, pair_operator, propagators
+from dephasing.evolution import JointState, joint_state, pair_operator, propagators
+from dephasing.linalg import LinalgError
 from dephasing.model import (
     DephasingModel,
     EnsembleSpec,
@@ -86,6 +87,14 @@ class TestPtSpectrum:
         es = pt_spectrum(state, "system")
         ee = pt_spectrum(state, "environment")
         assert np.max(np.abs(es - ee)) < 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_state_raises_linalg_error(self, bad):
+        state = joint_state(*fixture_props())
+        sigma = state.sigma.copy()
+        sigma[1, 1] = sigma[2, 4] = sigma[4, 2] = bad
+        with pytest.raises(LinalgError):
+            pt_spectrum(JointState(t=state.t, sigma=sigma, dims=state.dims))
 
 
 class TestMinorD:
