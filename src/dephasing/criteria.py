@@ -9,11 +9,12 @@ an explicit convex decomposition over a common environment eigenbasis.
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import conditional_block, pair_operator, propagators
+from .evolution import propagators
 from .linalg import simultaneous_diagonalize
 from .tolerances import DEFAULT_TOL_COMM
 
@@ -107,6 +108,11 @@ def _cross_index(k):
     return js, ls
 
 
+def _relative(w):
+    """U_j = w_0^dag w_j for j = 1..N-1, as one (N-1, M, M) product."""
+    return w[0].conj().T @ w[1:]
+
+
 def _condition_norms(r0, w):
     """The norms of both condition families from an (N, M, M) propagator
     stack: ``(qubit_like, cross)``, with ``cross`` in ``_cross_index`` order.
@@ -119,7 +125,7 @@ def _condition_norms(r0, w):
     l-1, :]`` is U_j U_l.  The inputs are not checked: w comes from
     ``propagators`` and r0 from a validated model.
     """
-    u = w[0].conj().T @ w[1:]
+    u = _relative(w)
     k, m = u.shape[0], u.shape[-1]
     prod = (u.reshape(k * m, m) @ u.transpose(1, 0, 2).reshape(m, k * m))
     prod = prod.reshape(k, m, k, m)
@@ -164,7 +170,14 @@ def _report(t, qubit_like, cross, tol_comm):
 
 
 def decide_from_props(model, props, tol_comm=DEFAULT_TOL_COMM):
-    """Render the verdict from already-built propagators."""
+    """Render the verdict from already-built propagators.
+
+    ``tol_comm`` must be finite and >= 0, or ``ValueError`` is raised: no
+    norm exceeds a NaN or infinite threshold, and every norm exceeds a
+    negative one, so such a value would decide nothing.
+    """
+    if not (math.isfinite(tol_comm) and tol_comm >= 0):
+        raise ValueError(f"tol_comm must be finite and >= 0, got {tol_comm!r}")
     return _report(props.t, *_condition_norms(model.r0, props.w), tol_comm)
 
 
@@ -176,17 +189,21 @@ def decide(model, t, tol_comm=DEFAULT_TOL_COMM):
 def build_decomposition(model, props, report):
     """Construct the explicit separable ensemble for a separable verdict.
 
-    Simultaneously diagonalizes R_00(t) and all W_j0(t); the weights are the
-    eigenvalues of R_00(t), and each system state is the pure state whose
-    amplitudes are c_i rotated by the per-basis-state phases of W_i0.
+    Simultaneously diagonalizes R(0) and every U_j = w_0^dag w_j, the
+    operators whose commutators the verdict measured.  Since R_00(t) =
+    w_0 R(0) w_0^dag and W_j0 = w_0 U_j w_0^dag, the environment basis
+    w_0 B (B the common eigenbasis) diagonalizes R_00(t) and every W_j0 with
+    the same diagonals: the weights are the eigenvalues of R(0), and each
+    system state is the pure state whose amplitudes are c_i rotated by the
+    per-basis-state phases of U_i.
     """
     if not report.separable:
         raise NotSeparableError(
             "decomposition requires a separable verdict, got entangled")
     n, m = model.n, model.m
-    r00 = conditional_block(model, props, 0, 0)
-    ops = [r00] + [pair_operator(props, j, 0) for j in range(1, n)]
-    basis, diagonals = simultaneous_diagonalize(ops, tol=report.tol_comm)
+    w = props.w
+    basis, diagonals = simultaneous_diagonalize(
+        [model.r0, *_relative(w)], tol=report.tol_comm)
 
     weights = np.clip(diagonals[0].real, 0.0, None)
     weights = weights / weights.sum()
@@ -197,7 +214,7 @@ def build_decomposition(model, props, report):
 
     return SeparableDecomposition(
         weights=weights,
-        env_basis=basis,
+        env_basis=w[0] @ basis,
         phases=phases,
         c=model.c,
     )

@@ -257,6 +257,37 @@ class TestRandom:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestTolComm:
+    """A --tol-comm that is not finite and >= 0 decides nothing: NaN and
+    +inf pass every condition, a negative value fails every one.  Each
+    subcommand ends with exit code 1 and an ``error:`` line before any
+    output."""
+
+    @pytest.mark.parametrize("value,shown", [("nan", "nan"), ("inf", "inf"),
+                                             ("-inf", "-inf"), ("-1", "-1.0")])
+    @pytest.mark.parametrize("command", ["check", "sweep", "example", "random"])
+    def test_rejected_by_every_subcommand(self, entangled_path, tmp_path,
+                                          capsys, command, value, shown):
+        out = tmp_path / "out"
+        args = {"check": ["--model", entangled_path, "--t", "1"],
+                "sweep": ["--model", entangled_path, "--t-start", "0",
+                          "--t-end", "1", "--steps", "3", "--out", str(out)],
+                "example": [],
+                "random": ["--seed", "1", "--count", "1", "--out", str(out)]}
+        with pytest.raises(SystemExit) as info:
+            main([command, *args[command], f"--tol-comm={value}"])
+        # a string exit code: Python prints it to stderr and exits with 1
+        assert info.value.code == (
+            f"error: --tol-comm must be finite and >= 0, got {shown}")
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_zero_is_allowed(self, entangled_path):
+        assert main(["check", "--model", entangled_path, "--t", "1",
+                     "--tol-comm", "0"]) == 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteTimes:
     """A non-finite time is an error: exit 1 and an ``error:`` line naming the
     option, with no warning on the way (RuntimeWarning is an error here)."""

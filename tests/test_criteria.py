@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dephasing import criteria, linalg
 from dephasing.criteria import (
     NotSeparableError,
     build_decomposition,
@@ -155,6 +156,20 @@ class TestDecide:
             assert report.witnesses == tuple(failed)
             assert report.margin == min(abs(norm - tol) for norm in norms)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"),
+                                     float("-inf"), -1.0, -1e-300])
+    def test_rejects_a_threshold_that_decides_nothing(self, tol):
+        # nothing exceeds NaN or +inf, and every norm exceeds a negative one
+        model = generic_model()
+        with pytest.raises(ValueError, match="tol_comm must be finite and >= 0"):
+            decide(model, 1.0, tol_comm=tol)
+        with pytest.raises(ValueError, match="tol_comm must be finite and >= 0"):
+            decide_from_props(model, propagators(model, 1.0), tol_comm=tol)
+
+    def test_zero_threshold_is_allowed(self):
+        assert decide(mixed_qutrit_example(), 1.0, tol_comm=0.0).tol_comm == 0.0
+
     def test_json_round_trip(self):
         report = decide(mixed_qutrit_example(), 1.0)
         doc = json.loads(report.to_json())
@@ -287,3 +302,68 @@ class TestDecomposition:
         for idx, rho in enumerate(dec.system_states):
             expected = m.c[0] * np.conj(m.c[1]) * np.conj(dec.phases[1, idx])
             assert rho[0, 1] == pytest.approx(expected)
+
+
+# separable (family, N, t): the commuting family at any t, the mixed one at
+# N = 2 (no cross condition) and the other two at t = 0
+SEPARABLE = [("generic", 3, 0.0), ("commuting", 4, 1.3), ("mixed", 2, 1.3),
+             ("pure", 3, 0.0)]
+
+
+def separable_case(family, n, t, m=5):
+    spec = EnsembleSpec(seed=7, count=1, n=n, m=m, family=Family(family))
+    mdl = validate(random_instance(spec, 0))
+    props = propagators(mdl, t)
+    report = decide_from_props(mdl, props)
+    assert report.separable
+    return mdl, props, report
+
+
+class TestDecompositionFromTheVerdictOperators:
+    """The decomposition diagonalizes R(0) and the U_j = w_0^dag w_j whose
+    commutators the verdict measured, and re-measures none of them."""
+
+    @pytest.mark.parametrize("family,n,t", SEPARABLE)
+    def test_no_commutator_is_measured_again(self, monkeypatch, family, n, t):
+        mdl, props, report = separable_case(family, n, t)
+        calls = []
+        real = linalg.commutator_norm
+
+        def counted(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(linalg, "commutator_norm", counted)
+        build_decomposition(mdl, props, report)
+        assert calls == []
+
+    @pytest.mark.parametrize("m", [3, 16, 64])
+    @pytest.mark.parametrize("family,n,t", SEPARABLE)
+    def test_env_basis_is_w0_times_the_common_basis(self, monkeypatch,
+                                                     family, n, t, m):
+        mdl, props, report = separable_case(family, n, t, m)
+        seen = []
+        real = criteria.simultaneous_diagonalize
+
+        def recorded(ops, tol):
+            result = real(ops, tol=tol)
+            seen.append((ops, result[0]))
+            return result
+
+        monkeypatch.setattr(criteria, "simultaneous_diagonalize", recorded)
+        dec = build_decomposition(mdl, props, report)
+        (ops, basis), = seen
+        w = props.w
+        assert np.array_equal(ops[0], mdl.r0)
+        for j in range(1, n):
+            assert np.array_equal(ops[j], w[0].conj().T @ w[j])
+        assert np.array_equal(dec.env_basis, w[0] @ basis)
+        env = dec.env_basis
+        assert frob(env.conj().T @ env - np.eye(m)) < 1e-12
+        # the same basis diagonalizes R_00(t) and every W_j0 in the lab frame
+        r00 = env.conj().T @ conditional_block(mdl, props, 0, 0) @ env
+        assert frob(r00 - np.diag(np.diag(r00))) < 1e-12
+        assert np.allclose(np.diag(r00).real, dec.weights, atol=1e-12)
+        for j in range(1, n):
+            wj0 = env.conj().T @ w[j] @ w[0].conj().T @ env
+            assert frob(wj0 - np.diag(dec.phases[j])) < 1e-9

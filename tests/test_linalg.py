@@ -223,6 +223,17 @@ class TestSimultaneousDiagonalize:
             simultaneous_diagonalize(
                 [np.diag([1.0, -1.0]).astype(complex), SIGMA_Y_LIKE])
 
+    def test_noncommuting_error_names_residual_and_bound(self):
+        # diag(1, -1) fixes the basis up to order and phase, so the residual
+        # is all of the second operator's off-diagonal part
+        residual = frob(SIGMA_Y_LIKE)
+        with pytest.raises(NotCommutingError) as info:
+            simultaneous_diagonalize(
+                [np.diag([1.0, -1.0]).astype(complex), SIGMA_Y_LIKE], tol=1e-9)
+        message = str(info.value)
+        assert f"residual of ops[1] {residual:.3e}" in message
+        assert f"exceeds bound {10 * 1e-9 * 2:.3e}" in message
+
     def test_mixed_hermitian_and_unitary(self):
         rng = np.random.default_rng(21)
         q = rand_unitary(rng, 5)

@@ -9,8 +9,11 @@ evaluation: the verdict, both norm families and the margin as exact float
 hex, and a SHA-256 digest of the bytes of the partial-transpose spectrum, of
 the full witness list (class, indices, closed form and determinant of every
 witness, in order) and of the decomposition's weights, basis and phases.
-``compare`` prints one summary line and exits 0 only if every field of every
-record is identical.
+Beside those digests, a separable record keeps its sorted weights and its
+reconstruction error ||sigma_sep - sigma||_F as float hex.  ``compare``
+prints one summary line, and, when decomposition digests differ, how far
+the sorted weights and the reconstruction errors moved; it exits 0 only if
+every field of every record is identical.
 
 Only names that every version of the package has are used, so the same
 script records an older checkout and a newer one for comparison.
@@ -67,7 +70,8 @@ def evaluate(dephasing, family, n, m, seed, t):
     model = dephasing.random_instance(spec, 0)
     props = dephasing.propagators(model, t)
     report = dephasing.decide_from_props(model, props)
-    eigs = dephasing.pt_spectrum(dephasing.joint_state(model, props), "system")
+    state = dephasing.joint_state(model, props)
+    eigs = dephasing.pt_spectrum(state, "system")
     record = {
         "verdict": report.verdict,
         "qubit_like": [[j, float(x).hex()] for j, x in report.qubit_like],
@@ -79,6 +83,9 @@ def evaluate(dephasing, family, n, m, seed, t):
         dec = dephasing.build_decomposition(model, props, report)
         record["decomposition"] = [array_digest(a) for a in
                                    (dec.weights, dec.env_basis, dec.phases)]
+        record["sorted_weights"] = [float(x).hex() for x in np.sort(dec.weights)]
+        record["reconstruction_error"] = float(
+            np.linalg.norm(dec.reconstruct() - state.sigma)).hex()
     else:
         scan = dephasing.witness_scan(model, props, report)
         record["witness_count"] = len(scan.witnesses)
@@ -104,6 +111,27 @@ def dump(out, src):
           f"in {time.perf_counter() - start:.1f} s")
 
 
+def decomposition_moves(a, b):
+    """How far the sorted weights and the reconstruction errors moved over
+    the records in both files whose decomposition digests differ."""
+    weights = errors = 0.0
+    largest = [0.0, 0.0]
+    for key in sorted(set(a) & set(b)):
+        ra, rb = a[key], b[key]
+        if (ra.get("decomposition") == rb.get("decomposition")
+                or "sorted_weights" not in ra or "sorted_weights" not in rb):
+            continue
+        wa, wb = ([float.fromhex(x) for x in r["sorted_weights"]]
+                  for r in (ra, rb))
+        weights = max([weights] + [abs(x - y) for x, y in zip(wa, wb)])
+        ea, eb = (float.fromhex(r["reconstruction_error"]) for r in (ra, rb))
+        errors = max(errors, abs(ea - eb))
+        largest = [max(largest[0], ea), max(largest[1], eb)]
+    return (f"decompositions moved: sorted weights by at most {weights:.2e}, "
+            f"reconstruction errors by at most {errors:.2e} (largest "
+            f"{largest[0]:.2e} before, {largest[1]:.2e} after)")
+
+
 def compare(before, after):
     with open(before) as fh:
         a = json.load(fh)["records"]
@@ -127,6 +155,8 @@ def compare(before, after):
         bad.append(f"{missing} evaluations in only one record")
     if bad:
         print(head + "DIFFER: " + ", ".join(bad))
+        if differing["decomposition"]:
+            print(decomposition_moves(a, b))
         return 1
     print(head + "verdicts, norms, margins, PT eigenvalues, witness lists "
           "and decompositions bit-identical")
