@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import DEFAULT_TOL_COMM, _condition_norms, _report, _verdict
+from .criteria import (DEFAULT_TOL_COMM, _condition_norms, _report,
+                       _require_tol_comm, _verdict)
 from .evolution import joint_state, propagators
 from .linalg import LinalgError, partial_transpose
 from .model import (
@@ -51,15 +52,6 @@ def _buffers(n, m):
 def _require_finite(option, value):
     if not math.isfinite(value):
         raise ValueError(f"{option} must be finite, got {value!r}")
-
-
-def _tol_comm(text):
-    """The ``--tol-comm`` type of every subcommand: a finite float >= 0.
-    Any other value ends the run with exit code 1 and an ``error:`` line."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        sys.exit(f"error: --tol-comm must be finite and >= 0, got {value!r}")
-    return value
 
 
 def _evaluate(model, t, buffers):
@@ -237,7 +229,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--tol-comm", type=_tol_comm, default=DEFAULT_TOL_COMM)
+    p.add_argument("--tol-comm", type=float, default=DEFAULT_TOL_COMM)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sweep", help="CSV sweep over a time grid")
@@ -246,12 +238,12 @@ def build_parser():
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tol-comm", type=_tol_comm, default=DEFAULT_TOL_COMM)
+    p.add_argument("--tol-comm", type=float, default=DEFAULT_TOL_COMM)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("example",
                        help="built-in entangling qutrit fixture (self-checking)")
-    p.add_argument("--tol-comm", type=_tol_comm, default=DEFAULT_TOL_COMM)
+    p.add_argument("--tol-comm", type=float, default=DEFAULT_TOL_COMM)
     p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("random", help="generate a seeded model ensemble")
@@ -263,7 +255,7 @@ def build_parser():
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--out", required=True)
-    p.add_argument("--tol-comm", type=_tol_comm, default=DEFAULT_TOL_COMM)
+    p.add_argument("--tol-comm", type=float, default=DEFAULT_TOL_COMM)
     p.set_defaults(func=cmd_random)
 
     return parser
@@ -272,6 +264,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _require_tol_comm(args.tol_comm, "--tol-comm")
         return args.func(args)
     except ValidationError as exc:
         print(exc.to_json(), file=sys.stderr)

@@ -9,7 +9,6 @@ an explicit convex decomposition over a common environment eigenbasis.
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,15 +168,17 @@ def _report(t, qubit_like, cross, tol_comm):
     )
 
 
-def decide_from_props(model, props, tol_comm=DEFAULT_TOL_COMM):
-    """Render the verdict from already-built propagators.
+def _require_tol_comm(tol_comm, name="tol_comm"):
+    """Raise ValueError unless tol_comm is finite and >= 0: no norm exceeds
+    NaN or +inf, and every norm exceeds a negative threshold."""
+    if not 0 <= tol_comm < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {tol_comm!r}")
 
-    ``tol_comm`` must be finite and >= 0, or ``ValueError`` is raised: no
-    norm exceeds a NaN or infinite threshold, and every norm exceeds a
-    negative one, so such a value would decide nothing.
-    """
-    if not (math.isfinite(tol_comm) and tol_comm >= 0):
-        raise ValueError(f"tol_comm must be finite and >= 0, got {tol_comm!r}")
+
+def decide_from_props(model, props, tol_comm=DEFAULT_TOL_COMM):
+    """Render the verdict from already-built propagators; a ``tol_comm``
+    that is not finite and >= 0 raises ``ValueError``."""
+    _require_tol_comm(tol_comm)
     return _report(props.t, *_condition_norms(model.r0, props.w), tol_comm)
 
 
@@ -192,10 +193,10 @@ def build_decomposition(model, props, report):
     Simultaneously diagonalizes R(0) and every U_j = w_0^dag w_j, the
     operators whose commutators the verdict measured.  Since R_00(t) =
     w_0 R(0) w_0^dag and W_j0 = w_0 U_j w_0^dag, the environment basis
-    w_0 B (B the common eigenbasis) diagonalizes R_00(t) and every W_j0 with
-    the same diagonals: the weights are the eigenvalues of R(0), and each
-    system state is the pure state whose amplitudes are c_i rotated by the
-    per-basis-state phases of U_i.
+    w_0 B (B their common eigenbasis, to within the residual bound of
+    ``simultaneous_diagonalize``) diagonalizes R_00(t) and every W_j0: the
+    weights are R(0)'s eigenvalues, and each system state is the pure state
+    with amplitudes c_i times the per-basis-state phases of U_i.
     """
     if not report.separable:
         raise NotSeparableError(

@@ -274,12 +274,11 @@ class TestTolComm:
                           "--t-end", "1", "--steps", "3", "--out", str(out)],
                 "example": [],
                 "random": ["--seed", "1", "--count", "1", "--out", str(out)]}
-        with pytest.raises(SystemExit) as info:
-            main([command, *args[command], f"--tol-comm={value}"])
-        # a string exit code: Python prints it to stderr and exits with 1
-        assert info.value.code == (
-            f"error: --tol-comm must be finite and >= 0, got {shown}")
-        assert capsys.readouterr().out == ""
+        assert main([command, *args[command], f"--tol-comm={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --tol-comm must be finite and >= 0, got {shown}\n")
+        assert captured.out == ""
         assert not out.exists()
 
     def test_zero_is_allowed(self, entangled_path):

@@ -20,7 +20,7 @@ from dephasing.model import (
     random_instance,
     validate,
 )
-from util import rand_unitary, reconstruct_loop
+from util import near_degenerate_model, rand_unitary, reconstruct_loop
 
 
 def commuting_model(seed=13, n=4, m=3):
@@ -367,3 +367,23 @@ class TestDecompositionFromTheVerdictOperators:
         for j in range(1, n):
             wj0 = env.conj().T @ w[j] @ w[0].conj().T @ env
             assert frob(wj0 - np.diag(dec.phases[j])) < 1e-9
+
+    @pytest.mark.parametrize("gap,tol", [(1.2e-9, 1e-9), (1e-3, 1e-3)])
+    def test_near_degenerate_r0_mixed_by_the_u_j(self, gap, tol):
+        # R(0)'s gap is above DEGENERACY_RTOL, so refinement splits it, but
+        # U_1 and U_2 = U_1^dag mix its eigenvectors: the verdict is still
+        # separable, and the certificate must meet the residual bound
+        mdl = near_degenerate_model(gap, ("x", "-x"))
+        props = propagators(mdl, 1.0)
+        report = decide_from_props(mdl, props, tol_comm=tol)
+        assert report.separable
+        dec = build_decomposition(mdl, props, report)
+        env, bound = dec.env_basis, 10 * tol * mdl.m
+        assert frob(env.conj().T @ env - np.eye(mdl.m)) < 1e-12
+        r00 = env.conj().T @ conditional_block(mdl, props, 0, 0) @ env
+        assert frob(r00 - np.diag(np.diag(r00))) <= bound
+        for j in range(1, mdl.n):
+            wj0 = env.conj().T @ props.w[j] @ props.w[0].conj().T @ env
+            assert frob(wj0 - np.diag(dec.phases[j])) <= bound
+        sigma = joint_state(mdl, props).sigma
+        assert frob(dec.reconstruct() - sigma) <= bound

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -224,15 +226,32 @@ class TestSimultaneousDiagonalize:
                 [np.diag([1.0, -1.0]).astype(complex), SIGMA_Y_LIKE])
 
     def test_noncommuting_error_names_residual_and_bound(self):
-        # diag(1, -1) fixes the basis up to order and phase, so the residual
-        # is all of the second operator's off-diagonal part
-        residual = frob(SIGMA_Y_LIKE)
         with pytest.raises(NotCommutingError) as info:
             simultaneous_diagonalize(
                 [np.diag([1.0, -1.0]).astype(complex), SIGMA_Y_LIKE], tol=1e-9)
-        message = str(info.value)
-        assert f"residual of ops[1] {residual:.3e}" in message
-        assert f"exceeds bound {10 * 1e-9 * 2:.3e}" in message
+        match = re.fullmatch(r"simultaneous diagonalization residual (\S+) "
+                             r"exceeds bound (\S+)", str(info.value))
+        assert match is not None
+        residual, bound = map(float, match.groups())
+        assert bound == float(f"{10 * 1e-9 * 2:.3e}")
+        # no unitary basis brings both operators within reach of diagonal
+        assert residual > 0.1
+
+    @pytest.mark.parametrize("gap,tol", [(1.2e-9, 1e-9), (1e-3, 1e-3),
+                                         (5e-4, 1e-3)])
+    def test_near_degenerate_pair_mixed_by_a_later_operator(self, gap, tol):
+        # R splits at its gap (above DEGENERACY_RTOL), but U mixes the two
+        # states strongly; ||[R, U]|| = gap sin(a) sqrt(2) is within tol
+        r = np.diag([0.5 - gap / 2, 0.5 + gap / 2]).astype(complex)
+        u = (np.cos(np.pi / 6) * np.eye(2)
+             - 1j * np.sin(np.pi / 6) * np.array([[0, 1], [1, 0]]))
+        assert commutator_norm(r, u) <= tol
+        basis, diagonals = simultaneous_diagonalize([r, u], tol=tol)
+        assert frob(basis.conj().T @ basis - np.eye(2)) < 1e-12
+        for op, diagonal in zip((r, u), diagonals):
+            rotated = basis.conj().T @ op @ basis
+            assert np.array_equal(np.diag(rotated), diagonal)
+            assert frob(rotated - np.diag(diagonal)) <= 10 * tol * 2
 
     def test_mixed_hermitian_and_unitary(self):
         rng = np.random.default_rng(21)

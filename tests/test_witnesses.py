@@ -23,7 +23,12 @@ from dephasing.witnesses import (
     pt_spectrum,
     witness_scan,
 )
-from util import bordered_minors_loop, kept_states_loop, rand_unitary
+from util import (
+    bordered_minors_loop,
+    kept_states_loop,
+    near_degenerate_model,
+    rand_unitary,
+)
 
 FIXTURE_PT_EIGS = np.array([-1, -1, 2, 2, 2, 2]) / 6.0
 
@@ -403,6 +408,27 @@ class TestWitnessScan:
                 assert {key: (ev.class_tag, ev.closed_form, ev.determinant)
                         for key, ev in table.items()} == ref
                 assert all(ev.indices == key for key, ev in table.items())
+
+    def test_x_scan_of_a_near_degenerate_r0(self):
+        # R(0)'s gap of 1.2e-9 is above DEGENERACY_RTOL, so refinement
+        # splits it, while every W_ji mixes its eigenvectors; the qubit-like
+        # norms are still within tol, so the scan takes the X path, and it
+        # must find what it finds for the exactly degenerate R(0)
+        scans = []
+        for gap in (0.0, 1.2e-9):
+            m = near_degenerate_model(gap, ("x", "y"))
+            props = propagators(m, 1.0)
+            report = decide_from_props(m, props)
+            assert report.max_qubit_like <= report.tol_comm < report.max_cross
+            scans.append(witness_scan(m, props, report).witnesses)
+        exact, near = scans
+        assert len(near) == len(exact) > 0
+        assert sorted(w.class_tag for w in near) == sorted(
+            w.class_tag for w in exact)
+        assert np.allclose([w.closed_form for w in near],
+                           [w.closed_form for w in exact], rtol=0, atol=1e-11)
+        for w in near:
+            assert w.closed_form == pytest.approx(w.determinant, abs=1e-15)
 
     def test_x_scan_diagonalizes_once_per_pair(self, monkeypatch):
         m = instance(Family.MIXED, seed=5, n=4, m=4)

@@ -41,6 +41,25 @@ def cancelling_model(seed=0, n=3, m=4, scale=1e6, skew=1e-5):
         v=tuple(-h + rand_hermitian(rng, m) + anti for _ in range(n)))
 
 
+def near_degenerate_model(gap, axes):
+    """A propagator-mode M = 2 model whose R(0) = diag(1/2 - gap/2,
+    1/2 + gap/2) is nearly degenerate: w_0 = 1 and w_j = cos(pi/6) -
+    i sin(pi/6) sigma_j for each Pauli label in ``axes``.  Each w_j mixes
+    R(0)'s two eigenvectors strongly, yet ||[R(0), w_j]||_F = gap / sqrt(2)."""
+    from dephasing.model import DephasingModel, validate
+
+    pauli = {"x": np.array([[0, 1], [1, 0]]), "-x": -np.array([[0, 1], [1, 0]]),
+             "y": np.array([[0, -1j], [1j, 0]])}
+    w = [np.eye(2, dtype=np.complex128)]
+    w += [np.cos(np.pi / 6) * np.eye(2) - 1j * np.sin(np.pi / 6) * pauli[a]
+          for a in axes]
+    n = len(w)
+    return validate(DephasingModel(
+        n=n, m=2, c=np.full(n, 1 / np.sqrt(n), dtype=np.complex128),
+        r0=np.diag([0.5 - gap / 2, 0.5 + gap / 2]).astype(np.complex128),
+        w=tuple(w)))
+
+
 def rand_density(rng, m):
     g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     rho = g @ g.conj().T
