@@ -60,8 +60,7 @@ def _evaluate(model, t, buffers):
     sigma_out, pt_out = buffers
     props = propagators(model, t)
     norms = _condition_norms(model.r0, props.w)
-    eigs = pt_spectrum(joint_state(model, props, out=sigma_out), "system",
-                       out=pt_out)
+    eigs = pt_spectrum(joint_state(model, props, out=sigma_out), out=pt_out)
     return norms, eigs
 
 
@@ -218,8 +217,16 @@ def cmd_random(args):
     return EXIT_SEPARABLE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser (its subparsers too) whose errors reach ``main``'s handler as
+    ``ValueError``: exit 1 and one ``error:`` line, not usage and exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dephasing",
         description="Separability analysis of pure-dephasing "
                     "system-environment evolutions")
@@ -262,8 +269,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _require_tol_comm(args.tol_comm, "--tol-comm")
         return args.func(args)
     except ValidationError as exc:

@@ -49,12 +49,10 @@ def frob(a):
     return float(np.linalg.norm(a))
 
 
-def _as_square(a, name="matrix", stacked=False):
-    """Validate a square complex matrix, or with ``stacked`` a (..., M, M)
-    stack of them, in one pass."""
+def _as_square(a, name="matrix"):
+    """Validate a finite square complex matrix."""
     a = np.asarray(a, dtype=np.complex128)
-    if (a.ndim < 2 or (a.ndim != 2 and not stacked)
-            or a.shape[-1] != a.shape[-2]):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise LinalgError(f"{name} contains non-finite entries")
@@ -96,25 +94,24 @@ def hermitian_eig(a):
     return vals, vecs
 
 
-def partial_transpose(rho, dim_s, dim_e, subsystem="environment", out=None):
+def partial_transpose(rho, dim_s, dim_e, subsystem="environment"):
     """Partial transpose of a bipartite matrix with index order r = s*M + e.
 
     ``subsystem`` selects which tensor factor is transposed: ``"system"``
     swaps the system blocks, ``"environment"`` transposes within each block.
-    With ``out`` (a C-contiguous complex128 array of rho's shape, not rho
-    itself) the result is written there and ``out`` is returned.
     """
     rho = _as_square(rho, "rho")
     if rho.shape[0] != dim_s * dim_e:
         raise DimensionMismatchError(
             f"rho has dim {rho.shape[0]}, expected {dim_s} * {dim_e}")
-    return _partial_transpose(rho, dim_s, dim_e, subsystem, out)
+    return _partial_transpose(rho, dim_s, dim_e, subsystem)
 
 
-def _partial_transpose(rho, dim_s, dim_e, subsystem, out):
+def _partial_transpose(rho, dim_s, dim_e, subsystem, out=None):
     """``partial_transpose`` without the scan of rho: rho must already be a
     finite complex128 (dim_s dim_e)-square array, such as a joint state's
-    sigma."""
+    sigma.  With ``out`` (a C-contiguous complex128 array of rho's shape,
+    not rho itself) the result is written there and ``out`` is returned."""
     if subsystem not in ("system", "environment"):
         raise ValueError(f"unknown subsystem {subsystem!r}")
     arr = rho.reshape(dim_s, dim_e, dim_s, dim_e)
@@ -130,22 +127,13 @@ def _partial_transpose(rho, dim_s, dim_e, subsystem, out):
 
 
 def commutator_norm(a, b):
-    """Frobenius norm of [A, B] = AB - BA: a float for two matrices, an
-    array over the broadcast leading axes for (..., M, M) stacks, so one call
-    gives the norms of many pairs."""
-    a = _as_square(a, "A", stacked=True)
-    b = _as_square(b, "B", stacked=True)
-    if a.shape[-2:] != b.shape[-2:]:
+    """Frobenius norm of [A, B] = AB - BA for two square matrices of one
+    shape."""
+    a = _as_square(a, "A")
+    b = _as_square(b, "B")
+    if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError as exc:
-        raise DimensionMismatchError(
-            f"stacks {a.shape} and {b.shape} do not broadcast") from exc
-    c = a @ b - b @ a
-    if c.ndim == 2:
-        return frob(c)
-    return np.linalg.norm(c, axis=(-2, -1))
+    return frob(a @ b - b @ a)
 
 
 def _hermitian_refiners(ops, tol):

@@ -95,8 +95,9 @@ class WitnessScan:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def pt_spectrum(state, subsystem="system", out=None):
-    """Ascending eigenvalues of the partial transpose of the joint state.
+def pt_spectrum(state, out=None):
+    """Ascending eigenvalues of sigma's partial transpose over the system
+    (the environment transpose is its full transpose: the same spectrum).
 
     With ``out`` (a C-contiguous complex128 (NM, NM) array) the partial
     transpose is written there instead of into a fresh array.  sigma is not
@@ -104,7 +105,7 @@ def pt_spectrum(state, subsystem="system", out=None):
     and a validated model; a non-finite spectrum raises ``LinalgError``.
     """
     n, m = state.dims
-    pt = _partial_transpose(state.sigma, n, m, subsystem, out)
+    pt = _partial_transpose(state.sigma, n, m, "system", out)
     try:
         eigs = np.linalg.eigvalsh(pt)
     except np.linalg.LinAlgError as exc:
@@ -313,7 +314,7 @@ def witness_scan(model, props, report):
     the partial-transpose spectrum is always attached as a safety net.
     """
     state = joint_state(model, props)
-    eigs = pt_spectrum(state, "system")
+    eigs = pt_spectrum(state)
 
     found = []
     if report.max_qubit_like > report.tol_comm:

@@ -34,12 +34,6 @@ def kernels(mdl):
         ("joint_state",
          lambda: joint_state(mdl, props).sigma,
          lambda out: joint_state(mdl, props, out=out).sigma),
-        ("partial_transpose[system]",
-         lambda: partial_transpose(sigma, n, m, "system"),
-         lambda out: partial_transpose(sigma, n, m, "system", out=out)),
-        ("partial_transpose[environment]",
-         lambda: partial_transpose(sigma, n, m, "environment"),
-         lambda out: partial_transpose(sigma, n, m, "environment", out=out)),
         ("pt_spectrum",
          lambda: partial_transpose(sigma, n, m, "system"),
          pt_written),

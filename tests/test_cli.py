@@ -340,3 +340,38 @@ class TestNonFiniteTimes:
         err = self.error(capsys, ["check", "--model", str(path),
                                   "--t", "1e308"])
         assert err.startswith("error: t = 1e+308: ")
+
+
+class TestMalformedOptions:
+    """Option text that argparse cannot parse is an error like any other:
+    exit 1 and one ``error:`` line, not argparse's usage text and exit 2."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["check", "--model", "{path}", "--tol-comm=abc"],
+         "argument --tol-comm: invalid float value: 'abc'"),
+        (["check", "--model", "{path}", "--t", "abc"],
+         "argument --t: invalid float value: 'abc'"),
+        (["check"], "the following arguments are required: --model"),
+        (["check", "--model", "{path}", "--format", "xml"],
+         "argument --format: invalid choice: 'xml'"),
+        (["sweep", "--model", "{path}", "--t-start", "0", "--t-end", "1",
+          "--steps", "2.5", "--out", "{out}"],
+         "argument --steps: invalid int value: '2.5'"),
+    ], ids=["tol-comm", "t", "no-model", "format", "steps"])
+    def test_exits_1_with_one_error_line(self, entangled_path, tmp_path,
+                                         capsys, argv, message):
+        out = tmp_path / "sweep.csv"
+        argv = [a.format(path=entangled_path, out=out) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_still_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dephasing")

@@ -155,22 +155,26 @@ class TestCommutatorNorm:
         with pytest.raises(DimensionMismatchError):
             commutator_norm(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
 
-    def test_stack_matches_pair_by_pair(self):
+    def test_stack_rejected(self):
         rng = np.random.default_rng(8)
         a = np.stack([rand_unitary(rng, 5) for _ in range(6)])
         b = np.stack([rand_hermitian(rng, 5) for _ in range(6)])
-        norms = commutator_norm(a, b)
-        assert norms.shape == (6,)
-        for k in range(6):
-            assert abs(norms[k] - commutator_norm(a[k], b[k])) < 1e-13
+        with pytest.raises(DimensionMismatchError):
+            commutator_norm(a, b)
+        with pytest.raises(DimensionMismatchError):
+            commutator_norm(a[0], b)
 
-    def test_single_matrix_broadcasts_against_stack(self):
-        rng = np.random.default_rng(9)
-        r = rand_hermitian(rng, 4)
-        b = np.stack([rand_unitary(rng, 4) for _ in range(3)])
-        norms = commutator_norm(r, b)
-        for k in range(3):
-            assert abs(norms[k] - commutator_norm(r, b[k])) < 1e-13
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            commutator_norm(np.zeros((3, 4)), np.zeros((3, 4)))
+
+    def test_non_finite_entry_rejected(self):
+        a = np.zeros((2, 2), dtype=complex)
+        a[1, 0] = complex(0.0, np.nan)
+        for pair in ((a, np.eye(2)), (np.eye(2), a)):
+            with pytest.raises(LinalgError) as info:
+                commutator_norm(*pair)
+            assert not isinstance(info.value, DimensionMismatchError)
 
     def test_stacks_must_broadcast(self):
         with pytest.raises(DimensionMismatchError):

@@ -4,7 +4,7 @@ import pytest
 from dephasing import witnesses
 from dephasing.criteria import decide_from_props
 from dephasing.evolution import JointState, joint_state, pair_operator, propagators
-from dephasing.linalg import LinalgError
+from dephasing.linalg import DimensionMismatchError, LinalgError, partial_transpose
 from dephasing.model import (
     DephasingModel,
     EnsembleSpec,
@@ -71,15 +71,18 @@ def decoupled_zero_weight_model(weights, seed):
 class TestPtSpectrum:
     def test_fixture_eigenvalues(self):
         m, props = fixture_props()
-        eigs = pt_spectrum(joint_state(m, props), "environment")
-        assert np.max(np.abs(eigs - FIXTURE_PT_EIGS)) < 1e-12
-        eigs = pt_spectrum(joint_state(m, props))
+        state = joint_state(m, props)
+        eigs = pt_spectrum(state)
+        env = np.linalg.eigvalsh(
+            partial_transpose(state.sigma, m.n, m.m, "environment"))
+        assert np.max(np.abs(env - FIXTURE_PT_EIGS)) < 1e-12
+        assert np.max(np.abs(eigs - env)) < 1e-10
         assert witnesses._negativity(eigs) == pytest.approx(1 / 3)
 
     def test_product_state_spectrum(self):
         m = instance(Family.GENERIC, seed=3)
         state = joint_state(m, propagators(m, 0.0))
-        eigs = pt_spectrum(state, "system")
+        eigs = pt_spectrum(state)
         rho_s = np.outer(m.c, m.c.conj())
         expected = np.sort(np.outer(np.linalg.eigvalsh(rho_s.T),
                                     np.linalg.eigvalsh(m.r0)).ravel())
@@ -89,9 +92,18 @@ class TestPtSpectrum:
     def test_subsystem_spectra_agree(self):
         m = instance(Family.GENERIC, seed=8, n=4, m=3)
         state = joint_state(m, propagators(m, 1.5))
-        es = pt_spectrum(state, "system")
-        ee = pt_spectrum(state, "environment")
+        es = pt_spectrum(state)
+        ee = np.linalg.eigvalsh(
+            partial_transpose(state.sigma, m.n, m.m, "environment"))
         assert np.max(np.abs(es - ee)) < 1e-10
+
+    @pytest.mark.parametrize("subsystem", ["system", "environment"])
+    def test_subsystem_string_is_rejected(self, subsystem):
+        # the second parameter is the output buffer: a subsystem name given
+        # there raises instead of selecting a transpose
+        state = joint_state(*fixture_props())
+        with pytest.raises(DimensionMismatchError):
+            pt_spectrum(state, subsystem)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_state_raises_linalg_error(self, bad):

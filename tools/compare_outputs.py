@@ -71,7 +71,7 @@ def evaluate(dephasing, family, n, m, seed, t):
     props = dephasing.propagators(model, t)
     report = dephasing.decide_from_props(model, props)
     state = dephasing.joint_state(model, props)
-    eigs = dephasing.pt_spectrum(state, "system")
+    eigs = dephasing.pt_spectrum(state)
     record = {
         "verdict": report.verdict,
         "qubit_like": [[j, float(x).hex()] for j, x in report.qubit_like],
