@@ -13,10 +13,15 @@ Minor classes:
   with a case split on how many weights of the conditional environment state
   vanish (the Y class vanishes identically once two or more weights vanish,
   and the Y-tilde class takes over)
+
+Each class is tabulated once per ordered pair of system levels, keyed by
+the minors' indices: the public minors look one entry up, and
+``witness_scan`` keeps the negative entries of every pair's table.
 """
 
 import json
 from dataclasses import dataclass
+from itertools import permutations, product
 
 import numpy as np
 
@@ -120,26 +125,54 @@ def _negativity(eigs):
     return float(-eigs[eigs < 0].sum())
 
 
-def _x_basis(model, props, i, j, tol):
-    """Common eigenbasis data (basis, p, u) of the ordered pair (i, j) for
-    the 3x3 minor classes: p are the weights of R_00(t), u the unimodular
-    diagonal of W_ji.  Shared by every third level l.
+def _require_levels(n, *levels):
+    if len(set(levels)) != len(levels) or not all(0 <= a < n for a in levels):
+        raise ValueError(
+            f"system indices must be distinct levels in 0..{n - 1}")
+
+
+def _lookup(table, key, requirement):
+    """The entry ``key`` of a pair's minor table.  A key the table does not
+    hold raises ``PreconditionFailedError`` naming the ``requirement``."""
+    if key not in table:
+        raise PreconditionFailedError(f"no minor at {key}: {requirement}")
+    return table[key]
+
+
+def _x_table(model, props, i, j, tol):
+    """Every 3x3 minor of the ordered pair (i, j), keyed by its indices
+    (i, j, l, k, q), with the weights p and, per third level l, the matrix x
+    of W_li that ``minor_X`` checks its precondition on.
+
+    R_00(t) and W_ji are diagonalized once, with p the weights of R_00(t)
+    and u the unimodular diagonal of W_ji; each third level l adds one grid
+    over the environment pairs (k, q), whose diagonal k == q is zero.
     """
     r00 = conditional_block(model, props, 0, 0)
     w_ji = pair_operator(props, j, i)
     basis, diagonals = simultaneous_diagonalize([r00, w_ji], tol=tol)
     p = np.clip(diagonals[0].real, 0.0, None)
     u = diagonals[1] / np.abs(diagonals[1])
-    return basis, p, u
+    table, xs = {}, {}
+    for l in range(model.n):
+        if l in (i, j):
+            continue
+        x = xs[l] = basis.conj().T @ pair_operator(props, l, i) @ basis
+        closed, dets = (grid.tolist() for grid in backend.minor_grid_3x3(
+            model.c[i], model.c[j], model.c[l], p, u, x))
+        for k, q in product(range(len(p)), repeat=2):
+            key = (i, j, l, k, q)
+            table[key] = MinorEvaluation("X", key, closed[k][q], dets[k][q])
+    return table, p, xs
 
 
-def _x_grids(model, props, i, j, l, basis, p, u):
-    """x, the matrix of W_li in the pair's basis, and the closed-form and
-    determinant grids of the triple (i, j, l) over environment pairs."""
-    x = basis.conj().T @ pair_operator(props, l, i) @ basis
-    ci, cj, cl = model.c[i], model.c[j], model.c[l]
-    closed, dets = backend.minor_grid_3x3(ci, cj, cl, p, u, x)
-    return x, closed, dets
+def _relabel(ev, n):
+    """The D label of an X minor: of a qutrit (n == 3), the X minor at the
+    system triple (0, 1, 2) is the D minor at its environment pair (k, q)."""
+    if n != 3 or ev.class_tag != "X" or ev.indices[:3] != (0, 1, 2):
+        return ev
+    return MinorEvaluation("D", ev.indices[3:], ev.closed_form,
+                           ev.determinant)
 
 
 def minor_X(model, props, i, j, l, k, q):
@@ -149,38 +182,28 @@ def minor_X(model, props, i, j, l, k, q):
     meaningful when the qubit-like conditions hold; never positive, and
     strictly negative exactly when the cross conditions fail at (k, q).
     """
-    if len({i, j, l}) != 3:
-        raise ValueError("system indices must be distinct")
+    _require_levels(model.n, i, j, l)
     worst = decide_from_props(model, props).max_qubit_like
     if worst > DEFAULT_TOL_COMM:
         raise PreconditionFailedError(
             f"qubit-like norms must vanish for this minor class "
             f"(max {worst:.3e} > {DEFAULT_TOL_COMM:.3e})")
-    basis, p, u = _x_basis(model, props, i, j, DEFAULT_TOL_COMM)
-    x, closed, dets = _x_grids(model, props, i, j, l, basis, p, u)
-    if abs(x[k, q]) > PRECONDITION_TOL and abs(p[k] - p[q]) > PRECONDITION_TOL:
+    table, p, xs = _x_table(model, props, i, j, DEFAULT_TOL_COMM)
+    ev = _lookup(table, (i, j, l, k, q),
+                 "requires environment states 0 <= k, q < M")
+    if (abs(xs[l][k, q]) > PRECONDITION_TOL
+            and abs(p[k] - p[q]) > PRECONDITION_TOL):
         raise PreconditionFailedError(
             f"weights p_{k} and p_{q} differ despite coupling x_{k}{q} != 0; "
             "qubit-like conditions do not actually hold at this tolerance")
-    return MinorEvaluation(
-        class_tag="X",
-        indices=(i, j, l, k, q),
-        closed_form=float(closed[k, q]),
-        determinant=float(dets[k, q]),
-    )
+    return ev
 
 
 def minor_D(model, props, k, q):
     """The qutrit two-index minor: the X class at system triple (0, 1, 2)."""
     if model.n != 3:
         raise ValueError(f"D-class minors require a qutrit, got N = {model.n}")
-    ev = minor_X(model, props, 0, 1, 2, k, q)
-    return MinorEvaluation(
-        class_tag="D",
-        indices=(k, q),
-        closed_form=ev.closed_form,
-        determinant=ev.determinant,
-    )
+    return _relabel(minor_X(model, props, 0, 1, 2, k, q), 3)
 
 
 def _kept_states(p, y):
@@ -229,7 +252,7 @@ def _y_closed(ci, cj, p, y, n_pos):
                                    * np.abs(y[n_pos, :]) ** 2))))
 
 
-def _pair_minors(model, props, i, j, p_full, vecs):
+def _y_table(model, props, i, j, p_full, vecs):
     """Every bordered minor of the pair (i, j), keyed by its indices, from
     (p_full, vecs) = ``_level_eig`` of level i.
 
@@ -267,17 +290,6 @@ def _pair_minors(model, props, i, j, p_full, vecs):
     return table
 
 
-def _bordered_lookup(model, props, key, requirement):
-    """The entry ``key`` = (i, j, ...) of the pair (i, j)'s minor table."""
-    i, j = key[:2]
-    if i == j:
-        raise ValueError("system indices must be distinct")
-    table = _pair_minors(model, props, i, j, *_level_eig(model, props, i))
-    if key not in table:
-        raise PreconditionFailedError(f"no minor at {key}: {requirement}")
-    return table[key]
-
-
 def minor_Y(model, props, i, j, n):
     """Bordered principal minor for the pair (i, j), environment state n.
 
@@ -286,8 +298,9 @@ def minor_Y(model, props, i, j, n):
     ``PreconditionFailedError`` for an eliminated n, or when two or more
     weights remain zero (the class vanishes; ``minor_Ytilde`` takes over).
     """
-    return _bordered_lookup(
-        model, props, (i, j, n),
+    _require_levels(model.n, i, j)
+    return _lookup(
+        _y_table(model, props, i, j, *_level_eig(model, props, i)), (i, j, n),
         "requires fewer than two zero weights and a state that was not "
         "eliminated as decoupled")
 
@@ -299,8 +312,10 @@ def minor_Ytilde(model, props, i, j, n, r):
     nonzero-weight state, both in the basis of ``minor_Y``; the minor is
     negative iff the pair operator couples them.
     """
-    return _bordered_lookup(
-        model, props, (i, j, n, r),
+    _require_levels(model.n, i, j)
+    return _lookup(
+        _y_table(model, props, i, j, *_level_eig(model, props, i)),
+        (i, j, n, r),
         "requires >= 2 zero weights, a nonzero-weight n and a zero-weight r, "
         "neither eliminated as decoupled")
 
@@ -316,36 +331,16 @@ def witness_scan(model, props, report):
     state = joint_state(model, props)
     eigs = pt_spectrum(state)
 
-    found = []
+    pairs = permutations(range(model.n), 2)
     if report.max_qubit_like > report.tol_comm:
-        for i in range(model.n):
-            level = _level_eig(model, props, i)
-            for j in range(model.n):
-                if i != j:
-                    table = _pair_minors(model, props, i, j, *level)
-                    found.extend(ev for ev in table.values()
-                                 if ev.closed_form < NEGATIVE_CUT)
+        levels = [_level_eig(model, props, i) for i in range(model.n)]
+        tables = (_y_table(model, props, i, j, *levels[i]) for i, j in pairs)
     elif report.max_cross > report.tol_comm:
-        for i in range(model.n):
-            for j in range(model.n):
-                if i == j:
-                    continue
-                basis, p, u = _x_basis(model, props, i, j, report.tol_comm)
-                for l in range(model.n):
-                    if l in (i, j):
-                        continue
-                    _, closed, dets = _x_grids(model, props, i, j, l,
-                                               basis, p, u)
-                    is_d = model.n == 3 and (i, j, l) == (0, 1, 2)
-                    # the grid's diagonal k == q is zero, so never selected
-                    for k, q in zip(*np.nonzero(closed < NEGATIVE_CUT)):
-                        k, q = int(k), int(q)
-                        found.append(MinorEvaluation(
-                            class_tag="D" if is_d else "X",
-                            indices=(k, q) if is_d else (i, j, l, k, q),
-                            closed_form=float(closed[k, q]),
-                            determinant=float(dets[k, q]),
-                        ))
-
-    found.sort(key=lambda ev: (ev.closed_form, ev.indices))
+        tables = (_x_table(model, props, i, j, report.tol_comm)[0]
+                  for i, j in pairs)
+    else:
+        tables = ()
+    found = sorted((_relabel(ev, model.n) for table in tables
+                    for ev in table.values() if ev.closed_form < NEGATIVE_CUT),
+                   key=lambda ev: (ev.closed_form, ev.indices))
     return WitnessScan(pt_eigenvalues=eigs, witnesses=tuple(found))

@@ -4,7 +4,11 @@ Each test prints a single PASS line on success; a failure shows up as a
 regular pytest failure.  Run with ``pytest -v tests/test_acceptance.py``.
 """
 
+import ast
+import importlib
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from dephasing.witnesses import minor_X, witness_scan
 from util import pauli_fixture_sigma, rand_unitary
 
 TIME_GRID = (0.0, 0.6, 1.1, 1.7, 2.3)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _families_grid():
@@ -255,3 +260,42 @@ def test_population_conservation():
     assert worst < 1e-10
     print(f"PASS population conservation: max deviation of the reduced-system "
           f"diagonal from |c_k|^2 is {worst:.1e}")
+
+
+def test_readme_library_overview_runs():
+    # the block's expression lines end in "# ..., <expected value>"
+    readme = (ROOT / "README.md").read_text()
+    overview = readme[readme.index("## Library overview"):]
+    block = re.search(r"```python\n(.*?)```", overview, re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    checked = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expr = compile(code, "README.md", "eval")
+        except SyntaxError:
+            continue
+        value = eval(expr, namespace)
+        expected = eval(comment.rsplit(",", 1)[-1])
+        if isinstance(expected, str):
+            assert value == expected
+        else:
+            assert abs(value - expected) <= 1e-12, (code, value, expected)
+        checked.append(expected)
+    assert checked == ["entangled", -1 / 6, -1 / 54]
+    print(f"PASS README library overview: {len(checked)} commented values")
+
+
+def test_traced_names_resolve():
+    # perfbench/tracer.py wraps these (module, function) pairs by name; a
+    # refactor that moves or renames one breaks every traced benchmark run
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["TRACED"])
+    assert traced
+    for module, name in traced:
+        fn = getattr(importlib.import_module(f"dephasing.{module}"), name, None)
+        assert callable(fn), f"dephasing.{module}.{name}"
+    print(f"PASS {len(traced)} traced names resolve in dephasing")

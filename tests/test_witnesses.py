@@ -1,3 +1,5 @@
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,23 @@ def decoupled_zero_weight_model(weights, seed):
         n=2, m=m, c=np.array([1, 1], dtype=complex) / np.sqrt(2),
         r0=np.diag(weights).astype(complex),
         w=(np.eye(m, dtype=complex), w1)))
+
+
+def every_lookup(model):
+    """(lookup, key) for every valid key of the four public minors; a
+    qutrit's X minors at (0, 1, 2) are looked up as its D minors."""
+    envs = list(product(range(model.m), repeat=2))
+    for i, j in permutations(range(model.n), 2):
+        for l in sorted(set(range(model.n)) - {i, j}):
+            for k, q in envs:
+                if model.n == 3 and (i, j, l) == (0, 1, 2):
+                    yield minor_D, (k, q)
+                else:
+                    yield minor_X, (i, j, l, k, q)
+        for n in range(model.m):
+            yield minor_Y, (i, j, n)
+        for n, r in envs:
+            yield minor_Ytilde, (i, j, n, r)
 
 
 class TestPtSpectrum:
@@ -201,6 +220,39 @@ class TestMinorX:
                         assert ev.closed_form <= 1e-9
                         assert abs(ev.closed_form - ev.determinant) \
                             <= 1e-8 * max(1, abs(ev.determinant))
+
+
+class TestLookupKeys:
+    """Each public minor is one entry of its pair's table: an index outside
+    the table raises, and none wraps onto another entry."""
+
+    @pytest.mark.parametrize("model,lookup,key", [
+        (mixed_qutrit_example(), minor_D, (-1, 0)),
+        (mixed_qutrit_example(), minor_D, (0, -1)),
+        (mixed_qutrit_example(), minor_D, (2, 0)),
+        (mixed_qutrit_example(), minor_X, (0, 1, 2, -1, 0)),
+        (mixed_qutrit_example(), minor_X, (0, 1, 2, 0, 2)),
+        (instance(Family.GENERIC, seed=23), minor_Y, (0, 1, -1)),
+        (instance(Family.GENERIC, seed=23), minor_Y, (0, 1, 3)),
+        (instance(Family.PURE, seed=31, m=4), minor_Ytilde, (0, 1, 3, -1)),
+        (instance(Family.PURE, seed=31, m=4), minor_Ytilde, (0, 1, 3, 4)),
+    ], ids=["D-k=-1", "D-q=-1", "D-k=M", "X-k=-1", "X-q=M", "Y-n=-1",
+            "Y-n=M", "Ytilde-r=-1", "Ytilde-r=M"])
+    def test_environment_index_outside_the_table(self, model, lookup, key):
+        with pytest.raises(PreconditionFailedError, match="no minor at"):
+            lookup(model, propagators(model, 1.0), *key)
+
+    @pytest.mark.parametrize("lookup,key", [
+        (minor_X, (-1, 0, 1, 0, 1)),
+        (minor_X, (0, 1, 3, 0, 1)),
+        (minor_Y, (-1, 0, 0)),
+        (minor_Y, (0, 3, 0)),
+        (minor_Ytilde, (0, -1, 1, 0)),
+    ], ids=["X-i=-1", "X-l=N", "Y-i=-1", "Y-j=N", "Ytilde-j=-1"])
+    def test_system_index_outside_the_levels(self, lookup, key):
+        m, props = fixture_props()
+        with pytest.raises(ValueError, match="distinct levels in 0..2"):
+            lookup(m, props, *key)
 
 
 class TestStateElimination:
@@ -412,7 +464,7 @@ class TestWitnessScan:
             for j in range(model.n):
                 if i == j:
                     continue
-                table = witnesses._pair_minors(model, props, i, j, p, vecs)
+                table = witnesses._y_table(model, props, i, j, p, vecs)
                 y = vecs.conj().T @ pair_operator(props, i, j) @ vecs
                 ref = bordered_minors_loop(
                     model.c[i], model.c[j], p, y, i, j,
@@ -420,6 +472,29 @@ class TestWitnessScan:
                 assert {key: (ev.class_tag, ev.closed_form, ev.determinant)
                         for key, ev in table.items()} == ref
                 assert all(ev.indices == key for key, ev in table.items())
+
+    @pytest.mark.parametrize("model,classes", [
+        (mixed_qutrit_example(), {"D", "X"}),
+        (instance(Family.MIXED, seed=5, n=4, m=4), {"X"}),
+        (instance(Family.GENERIC, seed=3, n=3, m=4), {"Y"}),
+        (instance(Family.PURE, seed=31, n=3, m=4), {"Ytilde"}),
+    ], ids=["fixture", "mixed", "generic", "pure"])
+    def test_scan_holds_every_negative_lookup(self, model, classes):
+        # the other direction of the single-lookup tests: nothing the public
+        # lookups find below the cut is missing from the scan
+        props = propagators(model, 1.0)
+        expected = []
+        for lookup, key in every_lookup(model):
+            try:
+                ev = lookup(model, props, *key)
+            except PreconditionFailedError:
+                continue
+            if ev.closed_form < NEGATIVE_CUT:
+                expected.append(ev)
+        assert {ev.class_tag for ev in expected} == classes
+        expected.sort(key=lambda ev: (ev.closed_form, ev.indices))
+        scan = witness_scan(model, props, decide_from_props(model, props))
+        assert scan.witnesses == tuple(expected)
 
     def test_x_scan_of_a_near_degenerate_r0(self):
         # R(0)'s gap of 1.2e-9 is above DEGENERACY_RTOL, so refinement
